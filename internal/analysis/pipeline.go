@@ -1,10 +1,11 @@
 // Package analysis orchestrates CAFA's offline half as a concurrent,
-// reusable pipeline. One Analyze call fans the three independent
-// trace passes — the event-driven causality graph, the conventional
-// baseline graph, and the lockset computation — out to goroutines
-// over a shared hb.Prescan, then joins them into the use-free
-// detector. A Pipeline additionally analyzes many traces in parallel
-// under a bounded worker pool (batch mode).
+// reusable pipeline. One Analyze call builds the conventional baseline
+// graph (an adjacency list queried on demand) over a shared
+// hb.Prescan, fans the two expensive independent passes — the
+// event-driven causality graph and the lockset computation — out to
+// goroutines, then joins them into the use-free detector. A Pipeline
+// additionally analyzes many traces in parallel under a bounded worker
+// pool (batch mode).
 //
 // Results are bit-identical to running the passes serially: the
 // passes share no mutable state (the Prescan is immutable, each graph
@@ -31,9 +32,9 @@ import (
 
 // Pipeline observability (internal/obs). Each analyzed trace gets a
 // span tree: the per-trace span (one track — batch concurrency shows
-// up as parallel tracks) with a serial prescan child, forked spans
-// for the concurrently-built passes, and a serial detect child after
-// the join. Counters track batch scheduling.
+// up as parallel tracks) with serial prescan and conventional-model
+// children, forked spans for the concurrently-built passes, and a
+// serial detect child after the join. Counters track batch scheduling.
 var (
 	cTracesAnalyzed = obs.NewCounter("analysis_traces_analyzed_total")
 	cTraceErrors    = obs.NewCounter("analysis_trace_errors_total")
@@ -81,8 +82,8 @@ type Options struct {
 	// EvidenceOptions configures the collector when Evidence is set.
 	EvidenceOptions provenance.Options
 	// Workers bounds batch-mode concurrency (AnalyzeAll). 0 means
-	// GOMAXPROCS. Per-trace pass concurrency is fixed at the three
-	// independent passes and is not affected.
+	// GOMAXPROCS. Per-trace pass concurrency is fixed at the
+	// independent passes (graph, lockset, static) and is not affected.
 	Workers int
 }
 
@@ -154,8 +155,8 @@ func New(opts Options) *Pipeline {
 }
 
 // Analyze runs the full offline pipeline on one trace. The trace scan
-// runs once; the two causality models and the lockset pass then run
-// concurrently, and the detector joins them.
+// runs once; the event-driven causality model and the lockset pass
+// then run concurrently, and the detector joins them.
 func (p *Pipeline) Analyze(tr *trace.Trace) (*Result, error) {
 	sp := obs.Start("pipeline.analyze")
 	defer sp.End()
@@ -175,25 +176,28 @@ func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error
 		cTraceErrors.Inc()
 		return nil, err
 	}
+	// The conventional model is an adjacency list answered on demand:
+	// cheap enough to build serially before the concurrent passes.
+	spC := sp.Child("hb.conventional")
+	conv, err := hb.BuildFromScan(ps, hb.Options{Conventional: true})
+	spC.End()
+	if err != nil {
+		cTraceErrors.Inc()
+		return nil, err
+	}
 	var (
-		wg                   sync.WaitGroup
-		g, conv              *hb.Graph
-		ls                   *lockset.Sets
-		gErr, convErr, lsErr error
-		st                   *static.Result
+		wg          sync.WaitGroup
+		g           *hb.Graph
+		ls          *lockset.Sets
+		gErr, lsErr error
+		st          *static.Result
 	)
-	wg.Add(3)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		spG := sp.Fork("hb.graph")
 		defer spG.End()
 		g, gErr = hb.BuildFromScan(ps, hb.Options{})
-	}()
-	go func() {
-		defer wg.Done()
-		spC := sp.Fork("hb.conventional")
-		defer spC.End()
-		conv, convErr = hb.BuildFromScan(ps, hb.Options{Conventional: true})
 	}()
 	go func() {
 		defer wg.Done()
@@ -220,10 +224,6 @@ func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error
 	if gErr != nil {
 		cTraceErrors.Inc()
 		return nil, gErr
-	}
-	if convErr != nil {
-		cTraceErrors.Inc()
-		return nil, convErr
 	}
 	if lsErr != nil {
 		cTraceErrors.Inc()

@@ -18,8 +18,8 @@
 // Peak memory is therefore O(reduced nodes + accesses-of-interest),
 // not O(trace): the dominant cost of long traces — the entry slice
 // itself and the per-entry lockset snapshots — is never allocated.
-// The happens-before closure itself is still built at Finish over the
-// reduced nodes, exactly as in batch mode, so results are
+// The event-driven happens-before closure is still built at Finish
+// over the reduced nodes, exactly as in batch mode, so results are
 // bit-identical; only the entry stream is never retained.
 //
 // Evidence and the naive baseline need the full entry list (call
@@ -32,7 +32,6 @@ package analysis
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"cafa/internal/detect"
 	"cafa/internal/hb"
@@ -144,9 +143,9 @@ func (sa *StreamAnalyzer) Consume(e trace.Entry) error {
 }
 
 // Finish validates trace-level invariants, builds both causality
-// models concurrently over the scanned frontier, and runs the
-// detector over the streamed extraction. The Result is identical to
-// batch Analyze on the materialized trace.
+// models over the scanned frontier, and runs the detector over the
+// streamed extraction. The Result is identical to batch Analyze on the
+// materialized trace.
 func (sa *StreamAnalyzer) Finish() (*Result, error) {
 	sp := obs.Start("pipeline.analyze.stream")
 	defer sp.End()
@@ -169,32 +168,19 @@ func (sa *StreamAnalyzer) FinishSpanned(sp *obs.Span) (*Result, error) {
 	ps := sa.scanner.Finish()
 	spScan.End()
 
-	var (
-		wg            sync.WaitGroup
-		g, conv       *hb.Graph
-		gErr, convErr error
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		spG := sp.Fork("hb.graph")
-		defer spG.End()
-		g, gErr = hb.BuildFromScan(ps, hb.Options{})
-	}()
-	go func() {
-		defer wg.Done()
-		spC := sp.Fork("hb.conventional")
-		defer spC.End()
-		conv, convErr = hb.BuildFromScan(ps, hb.Options{Conventional: true})
-	}()
-	wg.Wait()
-	if gErr != nil {
+	spC := sp.Child("hb.conventional")
+	conv, err := hb.BuildFromScan(ps, hb.Options{Conventional: true})
+	spC.End()
+	if err != nil {
 		cTraceErrors.Inc()
-		return nil, gErr
+		return nil, err
 	}
-	if convErr != nil {
+	spG := sp.Child("hb.graph")
+	g, err := hb.BuildFromScan(ps, hb.Options{})
+	spG.End()
+	if err != nil {
 		cTraceErrors.Inc()
-		return nil, convErr
+		return nil, err
 	}
 	ls := sa.locks.Sets()
 	in := detect.Input{

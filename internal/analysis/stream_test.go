@@ -256,3 +256,36 @@ func TestAnalyzeSourcesMixed(t *testing.T) {
 		t.Error("malformed trace should have a nil result")
 	}
 }
+
+// TestLooperDisciplineRejected runs a trace whose looper starts an
+// event before the previous one ended through both drivers. Streaming
+// validation reports the positioned Validator error; batch Analyze,
+// which leaves validation to its caller, gets the conventional model's
+// refusal. Neither returns a result.
+func TestLooperDisciplineRejected(t *testing.T) {
+	tr := trace.New()
+	tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "looper"}
+	tr.Tasks[2] = trace.TaskInfo{ID: 2, Kind: trace.KindEvent, Name: "ev2", Looper: 1, Queue: 1}
+	tr.Tasks[3] = trace.TaskInfo{ID: 3, Kind: trace.KindEvent, Name: "ev3", Looper: 1, Queue: 1}
+	for i, e := range []trace.Entry{
+		{Task: 1, Op: trace.OpBegin},
+		{Task: 2, Op: trace.OpBegin, Queue: 1},
+		{Task: 3, Op: trace.OpBegin, Queue: 1},
+		{Task: 2, Op: trace.OpEnd},
+		{Task: 3, Op: trace.OpEnd},
+	} {
+		e.Time = int64(i)
+		tr.Append(e)
+	}
+	const msg = "event ev3 begins on looper looper before event ev2 ends"
+	if _, err := Analyze(tr, Options{}); err == nil || err.Error() != "hb: entry 2: "+msg {
+		t.Errorf("batch Analyze error = %v", err)
+	}
+	bin, txt := encodeBoth(t, tr)
+	for name, enc := range map[string][]byte{"binary": bin, "text": txt} {
+		_, err := New(Options{}).AnalyzeStream(bytes.NewReader(enc))
+		if err == nil || err.Error() != "trace: entry 2: "+msg {
+			t.Errorf("%s: AnalyzeStream error = %v", name, err)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package hb
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cafa/internal/synth"
@@ -9,7 +11,10 @@ import (
 
 // buildFull replicates the pre-incremental fixpoint: recompute the
 // entire transitive closure on every round. It is the benchmark
-// baseline the incremental closure is measured against.
+// baseline the incremental closure is measured against, and the dense
+// reference the on-demand conventional model is checked against: with
+// Options.Conventional it still builds the closure and runs the
+// fixpoint over the looper chain.
 func buildFull(ps *Prescan, opts Options) (*Graph, error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 64
@@ -56,39 +61,51 @@ func buildFull(ps *Prescan, opts Options) (*Graph, error) {
 }
 
 // TestBuildFullMatchesIncremental keeps the benchmark baseline honest:
-// both fixpoints must produce identical stats and closure bits on the
-// synthetic workload the benchmarks use.
+// the incremental fixpoint must produce the stats and closure bits of
+// the full-recompute one, and the on-demand conventional model must
+// answer exactly as buildFull's dense closure does. It runs on the
+// synthetic workload the benchmarks use and on 50 random synth shapes.
 func TestBuildFullMatchesIncremental(t *testing.T) {
-	tr := synth.Trace(synth.Config{Chain: 4, EventsPer: 8, FreeThreads: 4})
-	ps, err := Scan(tr)
-	if err != nil {
-		t.Fatal(err)
+	cfgs := []synth.Config{{Chain: 4, EventsPer: 8, FreeThreads: 4}}
+	rng := rand.New(rand.NewSource(1))
+	for range 50 {
+		cfgs = append(cfgs, synth.Config{
+			Chain:       1 + rng.Intn(4),
+			EventsPer:   1 + rng.Intn(8),
+			FreeThreads: rng.Intn(5),
+			Burst:       rng.Intn(4),
+			BurstEvents: rng.Intn(12),
+		})
 	}
-	for _, opts := range []Options{{}, {Conventional: true}} {
-		inc, err := BuildFromScan(ps, opts)
+	for k, cfg := range cfgs {
+		ps, err := Scan(synth.Trace(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := buildFull(ps, opts)
+		inc, err := BuildFromScan(ps, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := buildFull(ps, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if inc.Stats() != full.Stats() {
-			t.Fatalf("opts %+v: stats diverge: incremental %+v, full %+v", opts, inc.Stats(), full.Stats())
+			t.Fatalf("%+v: stats diverge: incremental %+v, full %+v", cfg, inc.Stats(), full.Stats())
 		}
-		if len(inc.reach.bits) != len(full.reach.bits) {
-			t.Fatalf("opts %+v: closure matrix size mismatch", opts)
+		if !slices.Equal(inc.reach.bits, full.reach.bits) {
+			t.Fatalf("%+v: closure bits diverge", cfg)
 		}
-		for i := range full.reach.bits {
-			if inc.reach.bits[i] != full.reach.bits[i] {
-				t.Fatalf("opts %+v: closure bits diverge at word %d", opts, i)
-			}
-		}
-		// The conventional baseline derives everything from its total
-		// order in round 0; only the event-driven model must iterate.
-		if !opts.Conventional && inc.rounds < 3 {
+		// Only the event-driven model iterates; the benchmark shape
+		// must exercise a multi-round fixpoint.
+		if k == 0 && inc.rounds < 3 {
 			t.Fatalf("synthetic chain converged in %d rounds; want a multi-round fixpoint", inc.rounds)
 		}
+		conv, err := BuildFromScan(ps, Options{Conventional: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertConvExact(t, ps, conv)
 	}
 }
 

@@ -11,8 +11,15 @@ import (
 // j: the trace indexes of the reduced nodes along one shortest path
 // (starting at i's forward anchor and ending at j's backward anchor).
 // It returns nil when the entries are not ordered.
+//
+// The BFS is itself the ordering test, bounded by trace order: edges
+// point forward and node ids ascend in trace order, so a successor
+// with an id above dst can never lead back to dst and is skipped.
+// Skipping it changes no prev entry at or before dst, so the path is
+// the one an unbounded BFS finds.
 func (g *Graph) Explain(i, j int) []int {
-	if !g.Ordered(i, j) {
+	if i >= j {
+		// Irreflexive and consistent with trace order (see OrderedAt).
 		return nil
 	}
 	ei := &g.tr.Entries[i]
@@ -22,25 +29,31 @@ func (g *Graph) Explain(i, j int) []int {
 	}
 	src := g.anchorAfter(ei.Task, i)
 	dst := g.anchorBefore(ej.Task, j)
-	if src < 0 || dst < 0 {
+	if src < 0 || dst < 0 || src > dst {
 		return nil
 	}
-	// BFS over reduced nodes.
-	prev := make([]int32, len(g.nodes))
+	// BFS over reduced nodes [src, dst].
+	prev := make([]int32, dst+1)
 	for k := range prev {
 		prev[k] = -2
 	}
 	prev[src] = -1
 	queue := []int32{src}
+	visited := int64(1)
 	for len(queue) > 0 && prev[dst] == -2 {
 		u := queue[0]
 		queue = queue[1:]
 		for _, w := range g.adj[u] {
-			if prev[w] == -2 {
+			if w <= dst && prev[w] == -2 {
 				prev[w] = u
 				queue = append(queue, w)
+				visited++
 			}
 		}
+	}
+	if g.reach == nil {
+		cConvQueries.Inc()
+		cConvSearchNodes.Add(visited)
 	}
 	if prev[dst] == -2 {
 		return nil

@@ -22,6 +22,21 @@
 // previous round (closure over a DAG is monotone in its edge set, so
 // the incremental result is bit-identical to a recompute).
 //
+// The conventional baseline (Options.Conventional) builds no closure
+// and runs no fixpoint: it is the base edges plus a per-looper chain,
+// kept as an adjacency list and queried on demand (see reachable).
+// The fixpoint would add nothing to it. Assume each looper runs one
+// event at a time and every event sent to a queue runs on one looper
+// (trace.Validator enforces both; BuildFromScan re-checks them). Then
+// the chain end(e_{k-1}) → begin(e_k), with program order inside each
+// event, orders every same-looper pair in begin order. An atomicity or
+// queue-rule edge end(a) → begin(b) relates two events of one looper,
+// so it is either already reachable (a began first) or points
+// backwards in the trace (b began first, and therefore ended before
+// a began), and addEdge drops backward edges. The conventional model
+// therefore gains no rule edges, and its reachability is plain
+// reachability over base and chain edges.
+//
 // Because every rule only ever concludes orderings that actually held
 // in the traced execution, the happens-before relation is consistent
 // with trace order; the graph is a DAG whose topological order is the
@@ -38,6 +53,7 @@ package hb
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"cafa/internal/obs"
 	"cafa/internal/trace"
@@ -47,6 +63,9 @@ import (
 // once per build (from the already-maintained per-graph tallies), and
 // the worklist histogram observes the pending-edge batch consumed by
 // each incremental-closure round — the shape of the fixpoint tail.
+// hb_closure_bytes observes the matrix size of every build (0 for the
+// conventional model), and the hb_conv_* counters measure the
+// on-demand searches that replace the conventional closure.
 var (
 	cBuilds           = obs.NewCounter("hb_builds_total")
 	cBaseEdges        = obs.NewCounter("hb_base_edges_total")
@@ -54,6 +73,9 @@ var (
 	cFixpointRounds   = obs.NewCounter("hb_fixpoint_rounds_total")
 	hWorklistLen      = obs.NewHistogram("hb_closure_worklist_len")
 	hClosureRoundsPer = obs.NewHistogram("hb_rounds_per_build")
+	hClosureBytes     = obs.NewHistogram("hb_closure_bytes")
+	cConvQueries      = obs.NewCounter("hb_conv_queries_total")
+	cConvSearchNodes  = obs.NewCounter("hb_conv_search_nodes_total")
 )
 
 // Options configures graph construction.
@@ -61,7 +83,10 @@ type Options struct {
 	// Conventional builds the thread-based baseline model of §6.3
 	// instead: a total order over all events of each looper thread
 	// (what a conventional race detector assumes). Lock edges are not
-	// added in either mode, matching the paper's comparator.
+	// added in either mode, matching the paper's comparator. The
+	// conventional graph keeps no closure (queries search it on
+	// demand), and its build fails on a trace that breaks the looper
+	// discipline (see the package comment).
 	Conventional bool
 	// MaxRounds bounds fixpoint iteration (safety; 0 = default 64).
 	MaxRounds int
@@ -88,7 +113,9 @@ type Graph struct {
 	// taskNodes holds node ids per task, ascending by seq.
 	taskNodes map[trace.TaskID][]int32
 	adj       [][]int32
-	reach     *bitmat
+	// reach is the dense closure of the event-driven model. It is nil
+	// for the conventional model, which searches adj on demand.
+	reach *bitmat
 
 	begins map[trace.TaskID]int32 // node id of begin(t)
 	ends   map[trace.TaskID]int32 // node id of end(t)
@@ -124,6 +151,14 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 64
 	}
+	if opts.Conventional {
+		// The on-demand conventional answer is exact only under the
+		// looper discipline (package comment); refuse a Prescan that
+		// breaks it rather than answer wrongly.
+		if err := ps.checkLooperDiscipline(); err != nil {
+			return nil, err
+		}
+	}
 	g := &Graph{
 		tr:           ps.tr,
 		opts:         opts,
@@ -150,6 +185,10 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 				}
 			}
 		}
+		g.pending = nil
+		g.rounds = 1
+		g.record()
+		return g, nil
 	}
 	g.reach = newBitmat(len(g.nodes))
 	for round := 0; ; round++ {
@@ -167,12 +206,28 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 			break
 		}
 	}
+	g.record()
+	return g, nil
+}
+
+// record publishes one finished build's tallies to obs.
+func (g *Graph) record() {
 	cBuilds.Inc()
 	cBaseEdges.Add(int64(g.baseEdges))
 	cRuleEdges.Add(int64(g.ruleEdges))
 	cFixpointRounds.Add(int64(g.rounds))
 	hClosureRoundsPer.Observe(int64(g.rounds))
-	return g, nil
+	hClosureBytes.Observe(g.ClosureBytes())
+}
+
+// ClosureBytes returns the size of the graph's dense closure matrix:
+// n²/8 bytes over its reduced nodes for the event-driven model, 0 for
+// the conventional model, which keeps none.
+func (g *Graph) ClosureBytes() int64 {
+	if g.reach == nil {
+		return 0
+	}
+	return int64(len(g.reach.bits)) * 8
 }
 
 // isReducedOp reports whether an operation is a cross-edge endpoint.
@@ -256,9 +311,82 @@ func (g *Graph) incrementalClosure() {
 	g.pending = g.pending[:0]
 }
 
-// reachable reports node-level reachability (reflexive).
+// reachable reports node-level reachability (reflexive). It is the
+// one place that chooses how to answer: a bit probe of the dense
+// closure when the graph has one, otherwise a search from u bounded by
+// trace order. Edges only point forward and node ids ascend in trace
+// order, so a path from u to v visits only ids in [u, v].
 func (g *Graph) reachable(u, v int32) bool {
-	return g.reach.get(int(u), int(v))
+	if g.reach != nil {
+		return g.reach.get(int(u), int(v))
+	}
+	if u > v {
+		return false
+	}
+	s := searchPool.Get().(*search)
+	found := s.run(g.adj, u, v, v)
+	cConvQueries.Inc()
+	cConvSearchNodes.Add(s.visited)
+	searchPool.Put(s)
+	return found
+}
+
+// search is the scratch state of one on-demand reachability search.
+// It comes from searchPool, never from the Graph, so concurrent
+// readers of one graph stay safe.
+type search struct {
+	lo      int32
+	seen    []uint64 // bit k marks node lo+k
+	stack   []int32
+	visited int64 // nodes marked by the last run
+}
+
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
+// run marks every node reachable from u through nodes with id <= hi
+// and reports whether stop was marked, returning as soon as it is
+// (stop < 0 marks the whole bounded reachable set).
+func (s *search) run(adj [][]int32, u, hi, stop int32) bool {
+	words := int(hi-u)/64 + 1
+	if cap(s.seen) < words {
+		s.seen = make([]uint64, words)
+	} else {
+		s.seen = s.seen[:words]
+		clear(s.seen)
+	}
+	s.lo = u
+	s.mark(u)
+	s.visited = 1
+	if u == stop {
+		return true
+	}
+	s.stack = append(s.stack[:0], u)
+	for len(s.stack) > 0 {
+		x := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		for _, w := range adj[x] {
+			if w > hi || s.has(w) {
+				continue
+			}
+			s.mark(w)
+			s.visited++
+			if w == stop {
+				return true
+			}
+			s.stack = append(s.stack, w)
+		}
+	}
+	return false
+}
+
+func (s *search) mark(w int32) {
+	k := w - s.lo
+	s.seen[k/64] |= 1 << (uint(k) % 64)
+}
+
+func (s *search) has(w int32) bool {
+	k := w - s.lo
+	return s.seen[k/64]&(1<<(uint(k)%64)) != 0
 }
 
 // applyDerivedRules applies the atomicity rule and the four event

@@ -496,4 +496,60 @@ func TestStats(t *testing.T) {
 	if g.Trace() != b.tr {
 		t.Error("Trace() identity")
 	}
+	if got := g.ClosureBytes(); got != 2*8 {
+		t.Errorf("ClosureBytes() = %d, want one word per node", got)
+	}
+	if conv := b.build(t, Options{Conventional: true}); conv.ClosureBytes() != 0 {
+		t.Errorf("conventional ClosureBytes() = %d, want 0", conv.ClosureBytes())
+	}
+}
+
+// undisciplinedTraces break the looper discipline the on-demand
+// conventional model relies on, keyed by the error each must raise.
+func undisciplinedTraces() map[string]*trace.Trace {
+	out := make(map[string]*trace.Trace)
+
+	// Event 4 begins on looper 1 while event 3 still runs there.
+	b := loopTrace()
+	b.event(3, "ev3", 1, 1)
+	b.event(4, "ev4", 1, 1)
+	b.add(trace.Entry{Task: 3, Op: trace.OpBegin, Queue: 1})
+	b.add(trace.Entry{Task: 4, Op: trace.OpBegin, Queue: 1})
+	b.add(trace.Entry{Task: 3, Op: trace.OpEnd})
+	b.add(trace.Entry{Task: 4, Op: trace.OpEnd})
+	out["hb: entry 2: event ev4 begins on looper looper before event ev3 ends"] = b.tr
+
+	// Queue 1 feeds events on two loopers.
+	b = loopTrace()
+	b.thread(2, "looper2")
+	b.thread(5, "T")
+	b.event(3, "ev3", 1, 1)
+	b.event(4, "ev4", 2, 1)
+	b.add(trace.Entry{Task: 5, Op: trace.OpBegin})
+	b.add(trace.Entry{Task: 5, Op: trace.OpSend, Target: 3, Queue: 1})
+	b.add(trace.Entry{Task: 5, Op: trace.OpSend, Target: 4, Queue: 1})
+	out["hb: entry 3: queue 1 feeds loopers looper and looper2"] = b.tr
+
+	// A send targets a thread.
+	b = loopTrace()
+	b.thread(2, "T")
+	b.add(trace.Entry{Task: 1, Op: trace.OpSendAtFront, Target: 2, Queue: 1})
+	out["hb: entry 1: send target t2 is not an event"] = b.tr
+	return out
+}
+
+// TestConventionalRejectsUndisciplinedTrace covers callers that skip
+// trace validation: the conventional model refuses a trace that breaks
+// the looper discipline instead of answering wrongly, while the
+// event-driven model still builds.
+func TestConventionalRejectsUndisciplinedTrace(t *testing.T) {
+	for want, tr := range undisciplinedTraces() {
+		if _, err := Build(tr, Options{}); err != nil {
+			t.Errorf("%s: event-driven build failed: %v", want, err)
+		}
+		_, err := Build(tr, Options{Conventional: true})
+		if err == nil || err.Error() != want {
+			t.Errorf("conventional build error = %v, want %q", err, want)
+		}
+	}
 }

@@ -1,10 +1,13 @@
 package hb
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"cafa/internal/apps"
 	"cafa/internal/sim"
+	"cafa/internal/synth"
 	"cafa/internal/trace"
 )
 
@@ -35,10 +38,39 @@ func assertClosureExact(t *testing.T, g *Graph) {
 	}
 }
 
+// assertConvExact checks the on-demand conventional model g against
+// the dense reference buildFull computes over the same Prescan: equal
+// stats (so the fixpoint adds no rule edges), and one bounded search
+// per source marking exactly that source's dense closure row.
+func assertConvExact(t *testing.T, ps *Prescan, g *Graph) {
+	t.Helper()
+	if g.reach != nil {
+		t.Fatal("conventional model built a dense closure")
+	}
+	full, err := buildFull(ps, Options{Conventional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Stats() != full.Stats() {
+		t.Fatalf("on-demand stats %+v != dense reference stats %+v", g.Stats(), full.Stats())
+	}
+	var s search
+	n := int32(len(g.nodes))
+	for u := int32(0); u < n; u++ {
+		s.run(g.adj, u, n-1, -1)
+		for v := int32(0); v < n; v++ {
+			if got, want := v >= u && s.has(v), full.reach.get(int(u), int(v)); got != want {
+				t.Fatalf("node %d -> %d: on-demand %v, dense closure %v", u, v, got, want)
+			}
+		}
+	}
+}
+
 // TestIncrementalClosureMatchesFullRecompute drives multi-round
 // fixpoints (queue-rule chains across loopers force several rounds)
 // and asserts the incremental closure is bit-identical to a from-
-// scratch recompute over the final edge set.
+// scratch recompute over the final edge set, and the on-demand
+// conventional model exact against its dense reference.
 func TestIncrementalClosureMatchesFullRecompute(t *testing.T) {
 	// Chained loopers: a driver sends k events to looper A (rule 1
 	// orders them in round 1); each A event sends one event to looper
@@ -88,8 +120,11 @@ func TestIncrementalClosureMatchesFullRecompute(t *testing.T) {
 	}
 	assertClosureExact(t, g)
 
-	conv := b.build(t, Options{Conventional: true})
-	assertClosureExact(t, conv)
+	ps, err := Scan(b.tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConvExact(t, ps, b.build(t, Options{Conventional: true}))
 }
 
 // TestIncrementalClosureOnAppTraces checks the same invariant on the
@@ -108,13 +143,20 @@ func TestIncrementalClosureOnAppTraces(t *testing.T) {
 		if err := out.Sys.Run(); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []Options{{}, {Conventional: true}} {
-			g, err := Build(col.T, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertClosureExact(t, g)
+		ps, err := Scan(col.T)
+		if err != nil {
+			t.Fatal(err)
 		}
+		g, err := BuildFromScan(ps, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertClosureExact(t, g)
+		conv, err := BuildFromScan(ps, Options{Conventional: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertConvExact(t, ps, conv)
 	}
 }
 
@@ -146,13 +188,51 @@ func TestBuildFromScanSharedPrescan(t *testing.T) {
 		if shared.Stats() != solo.Stats() {
 			t.Fatalf("opts %+v: shared-prescan stats %+v != solo stats %+v", opts, shared.Stats(), solo.Stats())
 		}
-		if len(shared.reach.bits) != len(solo.reach.bits) {
-			t.Fatal("closure size mismatch")
-		}
-		for i := range solo.reach.bits {
-			if shared.reach.bits[i] != solo.reach.bits[i] {
-				t.Fatal("shared-prescan closure differs from solo build")
+		if opts.Conventional {
+			// No closure: both answer by searching their adjacency.
+			for u := range solo.adj {
+				if !slices.Equal(shared.adj[u], solo.adj[u]) {
+					t.Fatalf("shared-prescan adjacency of node %d differs from solo build", u)
+				}
 			}
+			continue
+		}
+		if !slices.Equal(shared.reach.bits, solo.reach.bits) {
+			t.Fatal("shared-prescan closure differs from solo build")
 		}
 	}
+}
+
+// TestConventionalConcurrentQueries checks that concurrent readers of
+// one on-demand conventional graph get the serial answers: search
+// scratch state is per call, never shared through the Graph.
+func TestConventionalConcurrentQueries(t *testing.T) {
+	tr := synth.Trace(synth.Config{Chain: 3, EventsPer: 6, FreeThreads: 3, Burst: 2, BurstEvents: 8})
+	conv, err := Build(tr, Options{Conventional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(tr.Entries)
+	want := make([]bool, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			want[i*n+j] = conv.Ordered(i, j)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if conv.Ordered(i, j) != want[i*n+j] {
+						t.Errorf("concurrent Ordered(%d, %d) differs from serial answer", i, j)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -299,3 +299,50 @@ func (ps *Prescan) collectBaseEdges() {
 		}
 	}
 }
+
+// checkLooperDiscipline verifies the two assumptions that make the
+// conventional model's on-demand answer exact (see the package
+// comment): each looper runs one event at a time, and every send
+// feeds an event, with all events sent to one queue running on one
+// looper. trace.Validator rejects the same traces with positioned
+// errors; this re-check covers callers that skip validation. When
+// several violations exist the one at the earliest entry is reported.
+func (ps *Prescan) checkLooperDiscipline() error {
+	tr := ps.tr
+	at := -1
+	var msg string
+	note := func(seq int, m string) {
+		if at < 0 || seq < at {
+			at, msg = seq, m
+		}
+	}
+	for lo, evs := range ps.looperEvents {
+		for k := 1; k < len(evs); k++ {
+			b := ps.nodes[ps.begins[evs[k]]].seq
+			if en, ok := ps.ends[evs[k-1]]; !ok || ps.nodes[en].seq > b {
+				note(b, fmt.Sprintf("event %s begins on looper %s before event %s ends",
+					tr.TaskName(evs[k]), tr.TaskName(lo), tr.TaskName(evs[k-1])))
+			}
+		}
+	}
+	for q, sends := range ps.queueSends {
+		first := tr.Tasks[sends[0].event].Looper
+		for _, si := range sends {
+			seq := ps.nodes[si.node].seq
+			ti := tr.Tasks[si.event]
+			if ti.Kind != trace.KindEvent {
+				note(seq, fmt.Sprintf("send target t%d is not an event", si.event))
+				break
+			}
+			if ti.Looper != first {
+				note(seq, fmt.Sprintf("queue %d feeds loopers %s and %s",
+					q, tr.TaskName(first), tr.TaskName(ti.Looper)))
+				break
+			}
+		}
+	}
+	if at >= 0 {
+		return fmt.Errorf("hb: entry %d: %s", at, msg)
+	}
+	return nil
+}

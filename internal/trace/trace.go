@@ -130,7 +130,11 @@ func (tr *Trace) EventCount() int {
 //   - no entry follows a task's end;
 //   - a task never begins before it is sent/forked (when the
 //     sender/forker is present in the trace);
-//   - entry Times are non-decreasing.
+//   - entry Times are non-decreasing;
+//   - the looper discipline of §3: an event never begins on a looper
+//     whose previous event has not ended, every send/sendAtFront
+//     targets an event, and all events sent to one queue run on one
+//     looper. The conventional causality model relies on these.
 //
 // It returns the first violation found, or nil.
 func (tr *Trace) Validate() error {
@@ -150,7 +154,9 @@ func (tr *Trace) Validate() error {
 type Validator struct {
 	tr       *Trace
 	states   map[TaskID]*taskValState
-	created  map[TaskID]int // seq of fork/send creating the task
+	created  map[TaskID]int     // seq of fork/send creating the task
+	running  map[TaskID]TaskID  // looper → event running on it
+	feeds    map[QueueID]TaskID // queue → looper its sends feed
 	lastTime int64
 	i        int
 }
@@ -165,7 +171,21 @@ func NewValidator(header *Trace) *Validator {
 		tr:      header,
 		states:  make(map[TaskID]*taskValState),
 		created: make(map[TaskID]int),
+		running: make(map[TaskID]TaskID),
+		feeds:   make(map[QueueID]TaskID),
 	}
+}
+
+// looperOf returns the looper of event t when the task table declares
+// one well-formed (a thread). Malformed event entries are left to
+// Finish, which reports them.
+func (v *Validator) looperOf(t TaskID) (TaskID, bool) {
+	ti := v.tr.Tasks[t]
+	if ti.Kind != KindEvent || ti.Looper == NoTask {
+		return NoTask, false
+	}
+	lt, ok := v.tr.Tasks[ti.Looper]
+	return ti.Looper, ok && lt.Kind == KindThread
 }
 
 // Entry checks the next entry in sequence; messages are identical to
@@ -198,6 +218,13 @@ func (v *Validator) Entry(e *Entry) error {
 			return fmt.Errorf("trace: entry %d: task %s begins twice", i, tr.TaskName(e.Task))
 		}
 		st.begun = true
+		if lo, ok := v.looperOf(e.Task); ok {
+			if cur, busy := v.running[lo]; busy {
+				return fmt.Errorf("trace: entry %d: event %s begins on looper %s before event %s ends",
+					i, tr.TaskName(e.Task), tr.TaskName(lo), tr.TaskName(cur))
+			}
+			v.running[lo] = e.Task
+		}
 	case OpEnd:
 		if !st.begun {
 			return fmt.Errorf("trace: entry %d: task %s ends before beginning", i, tr.TaskName(e.Task))
@@ -206,6 +233,9 @@ func (v *Validator) Entry(e *Entry) error {
 			return fmt.Errorf("trace: entry %d: task %s ends twice", i, tr.TaskName(e.Task))
 		}
 		st.ended = true
+		if lo, ok := v.looperOf(e.Task); ok && v.running[lo] == e.Task {
+			delete(v.running, lo)
+		}
 	default:
 		if !st.begun {
 			return fmt.Errorf("trace: entry %d (%s): operation before begin of %s", i, e, tr.TaskName(e.Task))
@@ -226,6 +256,18 @@ func (v *Validator) Entry(e *Entry) error {
 			return fmt.Errorf("trace: entry %d (%s): task t%d created twice (first at %d)", i, e, e.Target, prev)
 		}
 		v.created[e.Target] = i
+	}
+	if e.Op == OpSend || e.Op == OpSendAtFront {
+		if tr.Tasks[e.Target].Kind != KindEvent {
+			return fmt.Errorf("trace: entry %d (%s): target t%d is not an event", i, e, e.Target)
+		}
+		if lo, ok := v.looperOf(e.Target); ok {
+			if prev, fed := v.feeds[e.Queue]; fed && prev != lo {
+				return fmt.Errorf("trace: entry %d (%s): queue %d already fed an event on looper %s",
+					i, e, e.Queue, tr.TaskName(prev))
+			}
+			v.feeds[e.Queue] = lo
+		}
 	}
 	return nil
 }

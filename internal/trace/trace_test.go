@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -151,6 +152,7 @@ func TestValidateRejects(t *testing.T) {
 			tr.Tasks[3] = ti
 		}), "not a thread"},
 	}
+	cases = append(cases, disciplineCases()...)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			err := c.tr.Validate()
@@ -359,5 +361,81 @@ func TestTaskKindString(t *testing.T) {
 	}
 	if s := BranchKind(9).String(); !strings.Contains(s, "9") {
 		t.Error("unknown BranchKind string should include the value")
+	}
+}
+
+// disciplineCases breaks validTrace's looper discipline: onCreate
+// begins on the looper while onDestroy still runs there, a queue feeds
+// events on two loopers, and a send targets a thread.
+func disciplineCases() []struct {
+	name string
+	tr   *Trace
+	want string
+} {
+	overlap := validTrace()
+	// Swap end(onDestroy) [14] with begin(onCreate) [15], keeping times.
+	es := overlap.Entries
+	es[14], es[15] = es[15], es[14]
+	es[14].Time, es[15].Time = 14, 15
+
+	twoLoopers := validTrace()
+	twoLoopers.Tasks[5] = TaskInfo{ID: 5, Kind: KindThread, Name: "looper2"}
+	ti := twoLoopers.Tasks[4]
+	ti.Looper = 5
+	twoLoopers.Tasks[4] = ti
+
+	toThread := validTrace()
+	toThread.Tasks[6] = TaskInfo{ID: 6, Kind: KindThread, Name: "plain"}
+	toThread.Entries[4].Target = 6
+
+	return []struct {
+		name string
+		tr   *Trace
+		want string
+	}{
+		{"event begins on busy looper", overlap,
+			"trace: entry 14: event onCreate begins on looper looper before event onDestroy ends"},
+		{"queue feeds two loopers", twoLoopers,
+			"trace: entry 4 (sendAtFront(t2, e4, q1) @4): queue 1 already fed an event on looper looper"},
+		{"send to a thread", toThread,
+			"trace: entry 4 (sendAtFront(t2, e6, q1) @4): target t6 is not an event"},
+	}
+}
+
+// TestValidatorStreamsLooperDiscipline feeds each discipline-breaking
+// trace through the streaming decoder and an incremental Validator:
+// the error must be the batch Validate error, position included.
+func TestValidatorStreamsLooperDiscipline(t *testing.T) {
+	for _, c := range disciplineCases() {
+		t.Run(c.name, func(t *testing.T) {
+			batch := c.tr.Validate()
+			if batch == nil || batch.Error() != c.want {
+				t.Fatalf("batch Validate = %v, want %q", batch, c.want)
+			}
+			var buf bytes.Buffer
+			if err := c.tr.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := NewStreamDecoder(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := NewValidator(dec.Header())
+			var streamed error
+			for streamed == nil {
+				e, err := dec.Next()
+				if err == io.EOF {
+					streamed = v.Finish()
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed = v.Entry(&e)
+			}
+			if streamed == nil || streamed.Error() != c.want {
+				t.Fatalf("streaming Validator = %v, want %q", streamed, c.want)
+			}
+		})
 	}
 }
