@@ -104,8 +104,8 @@ func BenchmarkLowLevelBaseline(b *testing.B) {
 	b.ReportMetric(float64(n), "naive-races")
 }
 
-// BenchmarkHBBuild measures causality-model construction (graph,
-// closure, fixpoint) on the largest app trace.
+// BenchmarkHBBuild measures causality-model construction (graph and
+// rule fixpoint) on the largest app trace.
 func BenchmarkHBBuild(b *testing.B) {
 	tr := traceApp(b, "Camera")
 	b.ResetTimer()

@@ -22,6 +22,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/metrics"
+	"sync"
 	"time"
 
 	"cafa/internal/analysis"
@@ -251,12 +254,28 @@ func main() {
 	if *scaling {
 		fmt.Println("=== Offline analysis runtime vs trace size (§6.4) ===")
 		fmt.Println("(The paper's analyzer took 30 min–1 day per app; ours is measured")
-		fmt.Println(" on MyTracks at growing event volumes to show the scaling shape.)")
-		fmt.Printf("%10s %10s %10s %12s %12s\n", "events", "entries", "hb-nodes", "trace(ms)", "analyze(ms)")
-		spec, _ := apps.ByName("MyTracks")
+		fmt.Println(" on MyTracks at growing event volumes to show the scaling shape.")
+		fmt.Println(" Rows x2 and x4 multiply MyTracks' event count past the paper's.")
+		fmt.Println(" peak-heap is the highest heap in use while analyzing, materialized")
+		fmt.Println(" trace included: runtime/metrics, sampled every millisecond.)")
+		fmt.Printf("%-6s %10s %10s %10s %12s %12s %14s\n",
+			"size", "events", "entries", "hb-nodes", "trace(ms)", "analyze(ms)", "peak-heap(MiB)")
+		mytracks, _ := apps.ByName("MyTracks")
+		type rung struct {
+			name  string
+			mult  int // multiplies the app's event count
+			scale int // divides its filler volume
+		}
+		var ladder []rung
 		for _, sc := range []int{32, 16, 8, 4, 2, 1} {
+			ladder = append(ladder, rung{fmt.Sprintf("1/%d", sc), 1, sc})
+		}
+		ladder = append(ladder, rung{"x2", 2, 1}, rung{"x4", 4, 1})
+		for _, r := range ladder {
+			spec := mytracks
+			spec.Paper.Events *= r.mult
 			col := trace.NewCollector()
-			b, err := apps.Build(spec, sim.Config{Tracer: col, Seed: *seed}, sc)
+			b, err := apps.Build(spec, sim.Config{Tracer: col, Seed: *seed}, r.scale)
 			if err != nil {
 				fail("%v", err)
 			}
@@ -265,15 +284,21 @@ func main() {
 				fail("%v", err)
 			}
 			simMs := time.Since(t0)
-			t1 := time.Now()
-			res, err := analysis.Analyze(col.T, analysis.Options{})
+			runtime.GC()
+			var res *analysis.Result
+			var anaMs time.Duration
+			peak := peakHeap(func() {
+				t1 := time.Now()
+				res, err = analysis.Analyze(col.T, analysis.Options{})
+				anaMs = time.Since(t1)
+			})
 			if err != nil {
 				fail("%v", err)
 			}
-			anaMs := time.Since(t1)
-			fmt.Printf("%10d %10d %10d %12.1f %12.1f\n",
-				col.T.EventCount(), col.T.Len(), res.GraphStats.Nodes,
-				float64(simMs.Microseconds())/1000, float64(anaMs.Microseconds())/1000)
+			fmt.Printf("%-6s %10d %10d %10d %12.1f %12.1f %14.1f\n",
+				r.name, col.T.EventCount(), col.T.Len(), res.GraphStats.Nodes,
+				float64(simMs.Microseconds())/1000, float64(anaMs.Microseconds())/1000,
+				float64(peak)/(1<<20))
 		}
 		fmt.Println()
 	}
@@ -318,6 +343,42 @@ func main() {
 			}
 		}
 	}
+}
+
+// peakHeap runs f and returns the highest heap in use while it ran:
+// runtime/metrics' live and not-yet-swept heap objects, sampled every
+// millisecond and once more when f returns.
+func peakHeap(f func()) uint64 {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	var peak uint64
+	read := func() {
+		metrics.Read(sample)
+		if v := sample[0].Value.Uint64(); v > peak {
+			peak = v
+		}
+	}
+	read()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				read()
+			}
+		}
+	}()
+	f()
+	close(done)
+	wg.Wait()
+	read()
+	return peak
 }
 
 // writeMetricsSnapshot dumps the accumulated pipeline metrics in

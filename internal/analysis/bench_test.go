@@ -9,7 +9,7 @@ import (
 )
 
 // benchTraces spans an app-sized trace up to a large chained fan-out.
-// The shapes mirror internal/hb's closure benchmarks so graph-level
+// The shapes mirror internal/hb's fixpoint benchmarks so graph-level
 // and pipeline-level numbers line up; the baseline lives in
 // BENCH_analysis.json at the repo root.
 var benchTraces = []struct {
@@ -21,7 +21,7 @@ var benchTraces = []struct {
 }
 
 // BenchmarkBuildGraph measures one event-driven hb graph build — the
-// incremental-closure fixpoint — over the synthetic traces.
+// semi-naive rule fixpoint — over the synthetic traces.
 func BenchmarkBuildGraph(b *testing.B) {
 	for _, bt := range benchTraces {
 		tr := synth.Trace(bt.cfg)

@@ -53,7 +53,7 @@ func serialAnalyze(t *testing.T, tr *trace.Trace, opts detect.Options) (*detect.
 
 // TestPipelineMatchesSerialOnAllApps is the differential acceptance
 // test: on every one of the ten app scenarios the concurrent pipeline
-// with the incremental closure must report byte-identical races and
+// must report byte-identical races and
 // identical DetectStats / hb.Stats versus the serial seed path.
 func TestPipelineMatchesSerialOnAllApps(t *testing.T) {
 	p := New(Options{})

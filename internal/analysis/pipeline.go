@@ -9,7 +9,7 @@
 //
 // Results are bit-identical to running the passes serially: the
 // passes share no mutable state (the Prescan is immutable, each graph
-// owns its adjacency and closure), and the detector runs after the
+// owns its adjacency lists), and the detector runs after the
 // join, so concurrency changes only wall-clock time.
 package analysis
 

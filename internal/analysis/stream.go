@@ -18,9 +18,9 @@
 // Peak memory is therefore O(reduced nodes + accesses-of-interest),
 // not O(trace): the dominant cost of long traces — the entry slice
 // itself and the per-entry lockset snapshots — is never allocated.
-// The event-driven happens-before closure is still built at Finish
-// over the reduced nodes, exactly as in batch mode, so results are
-// bit-identical; only the entry stream is never retained.
+// The happens-before graphs are still built at Finish over the reduced
+// nodes, exactly as in batch mode, so results are bit-identical; only
+// the entry stream is never retained.
 //
 // Evidence and the naive baseline need the full entry list (call
 // walks, Explain paths); when Options request them the analyzer

@@ -7,6 +7,7 @@ import (
 
 	"cafa/internal/apps"
 	"cafa/internal/detect"
+	"cafa/internal/hb"
 	"cafa/internal/synth"
 	"cafa/internal/trace"
 )
@@ -98,6 +99,26 @@ func TestStreamMatchesBatchOnSynth(t *testing.T) {
 	} {
 		assertStreamMatchesBatch(t, synth.Trace(cfg), Options{})
 	}
+}
+
+// TestAnalyzeDeepFixpoint analyzes a chain of 80 loopers, whose
+// event-driven fixpoint needs more than 64 rounds, in batch and
+// streaming mode; its graph must be the one hb builds directly (whose
+// own tests check it against the dense reference).
+func TestAnalyzeDeepFixpoint(t *testing.T) {
+	tr := synth.Trace(synth.Config{Chain: 80, EventsPer: 2, FreeThreads: 1})
+	res, err := Analyze(tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := hb.Build(tr, hb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GraphStats != g.Stats() || res.GraphStats.Rounds <= 64 {
+		t.Fatalf("graph stats %+v, want %+v with more than 64 rounds", res.GraphStats, g.Stats())
+	}
+	assertStreamMatchesBatch(t, tr, Options{})
 }
 
 // TestStreamRetainsForEvidenceAndNaive: Evidence/Naive force entry

@@ -334,6 +334,15 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 
 	col := in.Collector
 	seen := make(map[SiteKey]bool)
+	// One Querier per graph: its search scratch serves every candidate
+	// and its search tallies reach obs once per call.
+	hbq := in.Graph.Querier()
+	defer hbq.Close()
+	var convq *hb.Querier
+	if in.Conventional != nil {
+		convq = in.Conventional.Querier()
+		defer convq.Close()
+	}
 	for _, u := range ex.uses {
 		for _, f := range freesByVar[u.Var] {
 			if u.Task == f.Task {
@@ -355,12 +364,12 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 					continue
 				}
 			}
-			if !in.Graph.ConcurrentAt(u.ReadIdx, u.Task, f.Idx, f.Task) {
+			if !hbq.ConcurrentAt(u.ReadIdx, u.Task, f.Idx, f.Task) {
 				res.Stats.FilteredOrdered++
 				if col != nil {
 					col.Pruned(u, f, PruneWitness{
 						Stage:         PruneOrdered,
-						UseBeforeFree: in.Graph.OrderedAt(u.ReadIdx, u.Task, f.Idx, f.Task),
+						UseBeforeFree: hbq.OrderedAt(u.ReadIdx, u.Task, f.Idx, f.Task),
 					})
 				}
 				continue
@@ -421,7 +430,7 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 			r := Race{Use: u, Free: f}
 			if sameLooper {
 				r.Class = ClassIntraThread
-			} else if in.Conventional != nil && in.Conventional.ConcurrentAt(u.ReadIdx, u.Task, f.Idx, f.Task) {
+			} else if convq != nil && convq.ConcurrentAt(u.ReadIdx, u.Task, f.Idx, f.Task) {
 				r.Class = ClassConventional
 			} else {
 				r.Class = ClassInterThread

@@ -56,6 +56,8 @@ func Naive(g *hb.Graph) []NaiveRace {
 		})
 	}
 
+	q := g.Querier()
+	defer q.Close()
 	var out []NaiveRace
 	type sitePair struct{ a, b accessSite }
 	for _, v := range varOrder {
@@ -74,7 +76,7 @@ func Naive(g *hb.Graph) []NaiveRace {
 				if reported[sp] {
 					continue
 				}
-				if g.Concurrent(a.idx, b.idx) {
+				if q.ConcurrentAt(a.idx, a.task, b.idx, b.task) {
 					reported[sp] = true
 					out = append(out, NaiveRace{
 						Var: v, AIdx: a.idx, BIdx: b.idx,

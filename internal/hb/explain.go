@@ -3,8 +3,6 @@ package hb
 import (
 	"fmt"
 	"strings"
-
-	"cafa/internal/trace"
 )
 
 // Explain returns a happens-before derivation from entry i to entry
@@ -32,30 +30,30 @@ func (g *Graph) Explain(i, j int) []int {
 	if src < 0 || dst < 0 || src > dst {
 		return nil
 	}
-	// BFS over reduced nodes [src, dst].
-	prev := make([]int32, dst+1)
-	for k := range prev {
-		prev[k] = -2
+	// BFS over reduced nodes [src, dst]; prev[w] is the BFS parent of
+	// each marked node w.
+	s := getSearch()
+	defer s.release()
+	s.reset(len(g.nodes))
+	if len(s.prev) < len(g.nodes) {
+		s.prev = make([]int32, len(g.nodes))
 	}
+	prev := s.prev
+	s.runs++
+	s.mark(src)
 	prev[src] = -1
-	queue := []int32{src}
-	visited := int64(1)
-	for len(queue) > 0 && prev[dst] == -2 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[u] {
-			if w <= dst && prev[w] == -2 {
-				prev[w] = u
+	queue := append(s.stack[:0], src)
+	for k := 0; k < len(queue) && !s.has(dst); k++ {
+		for _, w := range g.adj[queue[k]] {
+			if w <= dst && !s.has(w) {
+				s.mark(w)
+				prev[w] = queue[k]
 				queue = append(queue, w)
-				visited++
 			}
 		}
 	}
-	if g.reach == nil {
-		cConvQueries.Inc()
-		cConvSearchNodes.Add(visited)
-	}
-	if prev[dst] == -2 {
+	s.stack = queue
+	if !s.has(dst) {
 		return nil
 	}
 	var rev []int
@@ -84,44 +82,43 @@ func (g *Graph) Explain(i, j int) []int {
 // show how the execution reached both racy operations.
 func (g *Graph) CommonAncestor(i, j int) int {
 	// Happens-before is consistent with trace order, so an ancestor of
-	// both entries must precede the earlier one. nodes are appended in
-	// trace order: binary-search to the last node before min(i,j) and
-	// scan backwards from there, visiting candidates latest-first.
-	//
-	// A candidate reduced node n is its own task's anchor, so
-	// Ordered(n.seq, i) reduces to program order within i's task or a
-	// single closure-bit test against i's backward anchor — resolved
-	// once here instead of re-deriving anchors per candidate.
-	ti := g.tr.Entries[i].Task
-	tj := g.tr.Entries[j].Task
-	vi := g.anchorBefore(ti, i)
-	vj := g.anchorBefore(tj, j)
-	before := func(n int32, t trace.TaskID, idx int, v int32) bool {
-		nd := &g.nodes[n]
-		if nd.task == t {
-			return nd.seq < idx
-		}
-		return v >= 0 && g.reachable(n, v)
+	// both entries precedes the earlier one: the answer is the latest
+	// node before min(i, j) that precedes both. A node n there precedes
+	// entry i exactly when it reaches i's backward anchor: an earlier
+	// node of i's own task reaches it by program order, and if i's task
+	// has no node at or before i, no node precedes i. So one backward
+	// search from each anchor marks the candidates, and the answer is
+	// the latest node both searches marked.
+	si := g.ancestors(g.anchorBefore(g.tr.Entries[i].Task, i))
+	defer si.release()
+	sj := g.ancestors(g.anchorBefore(g.tr.Entries[j].Task, j))
+	defer sj.release()
+	if len(sj.marked) < len(si.marked) {
+		si, sj = sj, si
 	}
-	lim := i
-	if j < lim {
-		lim = j
-	}
-	lo, hi := 0, len(g.nodes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.nodes[mid].seq < lim {
-			lo = mid + 1
-		} else {
-			hi = mid
+	lim := min(i, j)
+	best := int32(-1)
+	for _, n := range si.marked {
+		if n > best && g.nodes[n].seq < lim && sj.has(n) {
+			best = n
 		}
 	}
-	for n := int32(lo - 1); n >= 0; n-- {
-		if before(n, ti, i, vi) && before(n, tj, j, vj) {
-			return g.nodes[n].seq
-		}
+	if best < 0 {
+		return -1
 	}
-	return -1
+	return g.nodes[best].seq
+}
+
+// ancestors returns a pooled search that has marked every node
+// reaching v (reflexive), or no node when v < 0. The caller releases
+// it.
+func (g *Graph) ancestors(v int32) *search {
+	s := getSearch()
+	s.reset(len(g.nodes))
+	if v >= 0 {
+		s.walk(g.reverse(), v, 0, v, -1)
+	}
+	return s
 }
 
 // FormatPath renders an Explain result as a readable derivation.

@@ -16,31 +16,51 @@
 //   - event queue rules 1–4 over ordered sends to the same queue.
 //
 // The last two rule groups depend on already-derived reachability, so
-// Build iterates rule application and transitive closure to a
-// fixpoint. The closure is computed in full once; subsequent rounds
-// propagate only the reachability contributed by edges added since the
-// previous round (closure over a DAG is monotone in its edge set, so
-// the incremental result is bit-identical to a recompute).
+// Build applies them in rounds until a round derives no new edge. No
+// closure is stored: both models answer reachability with one search
+// from the source bounded by trace order (see reachable), and the rule
+// pass is driven by the same searches. For each looper event e_i it
+// searches from begin(e_i) and visits only the reached end(e_j), j > i,
+// of that looper; for each send it visits only the reached later sends
+// of the same queue. Its cost is proportional to the ordered pairs, not
+// to all pairs.
 //
-// The conventional baseline (Options.Conventional) builds no closure
-// and runs no fixpoint: it is the base edges plus a per-looper chain,
-// kept as an adjacency list and queried on demand (see reachable).
-// The fixpoint would add nothing to it. Assume each looper runs one
-// event at a time and every event sent to a queue runs on one looper
-// (trace.Validator enforces both; BuildFromScan re-checks them). Then
-// the chain end(e_{k-1}) → begin(e_k), with program order inside each
-// event, orders every same-looper pair in begin order. An atomicity or
+// Rounds are semi-naive. A source whose reach set did not change since
+// the previous round has the same premises as then, and each of its
+// conclusions was either added then or already held, so it cannot
+// derive a new edge. Round r > 0 therefore re-runs only the sources
+// that reach the source of an edge added in round r−1, found with one
+// backward search over the reverse adjacency.
+//
+// A round's new edges are held in pending and appended to the
+// adjacency only when the round ends, and candidates are visited in
+// (outer index, inner index) order: looper events by begin order, then
+// queue sends by trace order. Every premise and every "already
+// ordered" test of a round thus sees the graph as it was when the
+// round began — the semantics of recomputing a full closure once per
+// round — so the rule edges, the round count and every adjacency list
+// (hence every Explain path) are those of that dense fixpoint. The
+// fixpoint terminates: a round that continues adds an edge between
+// nodes that were unordered, so there are at most n² rounds.
+//
+// The conventional baseline (Options.Conventional) runs no fixpoint:
+// it is the base edges plus a per-looper chain. The fixpoint would add
+// nothing to it. Assume each looper runs one event at a time and every
+// event sent to a queue runs on one looper (trace.Validator enforces
+// both; BuildFromScan re-checks them). Then the chain
+// end(e_{k-1}) → begin(e_k), with program order inside each event,
+// orders every same-looper pair in begin order. An atomicity or
 // queue-rule edge end(a) → begin(b) relates two events of one looper,
 // so it is either already reachable (a began first) or points
 // backwards in the trace (b began first, and therefore ended before
-// a began), and addEdge drops backward edges. The conventional model
-// therefore gains no rule edges, and its reachability is plain
-// reachability over base and chain edges.
+// a began), and backward edges are dropped (see forward). The
+// conventional model therefore gains no rule edges, and its
+// reachability is plain reachability over base and chain edges.
 //
 // Because every rule only ever concludes orderings that actually held
 // in the traced execution, the happens-before relation is consistent
 // with trace order; the graph is a DAG whose topological order is the
-// entry sequence. The closure is computed over "reduced nodes" (task
+// entry sequence. The graph is built over "reduced nodes" (task
 // begins/ends plus cross-edge endpoints); arbitrary operations resolve
 // through their nearest reduced anchors.
 //
@@ -51,7 +71,6 @@
 package hb
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -60,22 +79,19 @@ import (
 )
 
 // Graph-construction observability (internal/obs). Counts accumulate
-// once per build (from the already-maintained per-graph tallies), and
-// the worklist histogram observes the pending-edge batch consumed by
-// each incremental-closure round — the shape of the fixpoint tail.
-// hb_closure_bytes observes the matrix size of every build (0 for the
-// conventional model), and the hb_conv_* counters measure the
-// on-demand searches that replace the conventional closure.
+// once per build (from the already-maintained per-graph tallies). The
+// search counters measure the on-demand reachability searches of both
+// models: a build publishes its rule-pass searches once, a Querier its
+// searches when it is closed, and each other query method once per
+// call.
 var (
-	cBuilds           = obs.NewCounter("hb_builds_total")
-	cBaseEdges        = obs.NewCounter("hb_base_edges_total")
-	cRuleEdges        = obs.NewCounter("hb_rule_edges_total")
-	cFixpointRounds   = obs.NewCounter("hb_fixpoint_rounds_total")
-	hWorklistLen      = obs.NewHistogram("hb_closure_worklist_len")
-	hClosureRoundsPer = obs.NewHistogram("hb_rounds_per_build")
-	hClosureBytes     = obs.NewHistogram("hb_closure_bytes")
-	cConvQueries      = obs.NewCounter("hb_conv_queries_total")
-	cConvSearchNodes  = obs.NewCounter("hb_conv_search_nodes_total")
+	cBuilds         = obs.NewCounter("hb_builds_total")
+	cBaseEdges      = obs.NewCounter("hb_base_edges_total")
+	cRuleEdges      = obs.NewCounter("hb_rule_edges_total")
+	cFixpointRounds = obs.NewCounter("hb_fixpoint_rounds_total")
+	hRoundsPerBuild = obs.NewHistogram("hb_rounds_per_build")
+	cSearches       = obs.NewCounter("hb_searches_total")
+	cSearchNodes    = obs.NewCounter("hb_search_nodes_total")
 )
 
 // Options configures graph construction.
@@ -84,12 +100,9 @@ type Options struct {
 	// instead: a total order over all events of each looper thread
 	// (what a conventional race detector assumes). Lock edges are not
 	// added in either mode, matching the paper's comparator. The
-	// conventional graph keeps no closure (queries search it on
-	// demand), and its build fails on a trace that breaks the looper
-	// discipline (see the package comment).
+	// conventional build runs no fixpoint, and it fails on a trace
+	// that breaks the looper discipline (see the package comment).
 	Conventional bool
-	// MaxRounds bounds fixpoint iteration (safety; 0 = default 64).
-	MaxRounds int
 }
 
 // node is one reduced node of the graph.
@@ -105,17 +118,20 @@ type sendInfo struct {
 	front bool
 }
 
-// Graph is the happens-before graph of one trace.
+// Graph is the happens-before graph of one trace. It is read-only once
+// built, so concurrent queries are safe.
 type Graph struct {
 	tr    *trace.Trace
 	opts  Options
 	nodes []node
 	// taskNodes holds node ids per task, ascending by seq.
 	taskNodes map[trace.TaskID][]int32
-	adj       [][]int32
-	// reach is the dense closure of the event-driven model. It is nil
-	// for the conventional model, which searches adj on demand.
-	reach *bitmat
+	// adj and radj are the forward and reverse adjacency lists. The
+	// rule pass keeps radj; the conventional model, which has none,
+	// builds it on the first query that needs it (see reverse).
+	adj      [][]int32
+	radj     [][]int32
+	radjOnce sync.Once
 
 	begins map[trace.TaskID]int32 // node id of begin(t)
 	ends   map[trace.TaskID]int32 // node id of end(t)
@@ -123,12 +139,6 @@ type Graph struct {
 	queueSends map[trace.QueueID][]sendInfo
 	// looperEvents lists events per looper in begin order.
 	looperEvents map[trace.TaskID][]trace.TaskID
-
-	// pending are edges added since the last closure; the next
-	// (incremental) closure round consumes them. changed is that
-	// round's per-node dirty scratch, reused across rounds.
-	pending []edge
-	changed []bool
 
 	rounds    int
 	baseEdges int
@@ -148,13 +158,10 @@ func Build(tr *trace.Trace, opts Options) (*Graph, error) {
 // calls over one Prescan (e.g. the event-driven and conventional
 // models, built concurrently) are safe: the Prescan is read-only.
 func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 64
-	}
 	if opts.Conventional {
-		// The on-demand conventional answer is exact only under the
-		// looper discipline (package comment); refuse a Prescan that
-		// breaks it rather than answer wrongly.
+		// The conventional answer is exact only under the looper
+		// discipline (package comment); refuse a Prescan that breaks
+		// it rather than answer wrongly.
 		if err := ps.checkLooperDiscipline(); err != nil {
 			return nil, err
 		}
@@ -174,38 +181,31 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 		g.adj[e.u] = append(g.adj[e.u], e.v)
 		g.baseEdges++
 	}
-	// Conventional baseline: total event order per looper.
 	if opts.Conventional {
+		// Conventional baseline: total event order per looper.
 		for _, evs := range g.looperEvents {
 			for i := 1; i < len(evs); i++ {
 				en, ok1 := g.ends[evs[i-1]]
 				b, ok2 := g.begins[evs[i]]
-				if ok1 && ok2 && g.addEdge(en, b) {
+				if ok1 && ok2 && g.forward(en, b) {
+					g.adj[en] = append(g.adj[en], b)
 					g.baseEdges++
 				}
 			}
 		}
-		g.pending = nil
 		g.rounds = 1
 		g.record()
 		return g, nil
 	}
-	g.reach = newBitmat(len(g.nodes))
-	for round := 0; ; round++ {
-		if round >= opts.MaxRounds {
-			return nil, fmt.Errorf("hb: fixpoint did not converge in %d rounds", opts.MaxRounds)
-		}
-		g.rounds = round + 1
-		if round == 0 {
-			g.closure()
-			g.pending = g.pending[:0]
-		} else {
-			g.incrementalClosure()
-		}
-		if !g.applyDerivedRules() {
+	g.reverse()
+	r := newRulePass(g)
+	for {
+		g.rounds++
+		if !r.round() {
 			break
 		}
 	}
+	r.release()
 	g.record()
 	return g, nil
 }
@@ -216,18 +216,7 @@ func (g *Graph) record() {
 	cBaseEdges.Add(int64(g.baseEdges))
 	cRuleEdges.Add(int64(g.ruleEdges))
 	cFixpointRounds.Add(int64(g.rounds))
-	hClosureRoundsPer.Observe(int64(g.rounds))
-	hClosureBytes.Observe(g.ClosureBytes())
-}
-
-// ClosureBytes returns the size of the graph's dense closure matrix:
-// n²/8 bytes over its reduced nodes for the event-driven model, 0 for
-// the conventional model, which keeps none.
-func (g *Graph) ClosureBytes() int64 {
-	if g.reach == nil {
-		return 0
-	}
-	return int64(len(g.reach.bits)) * 8
+	hRoundsPerBuild.Observe(int64(g.rounds))
 }
 
 // isReducedOp reports whether an operation is a cross-edge endpoint.
@@ -244,119 +233,119 @@ func isReducedOp(op trace.Op) bool {
 	}
 }
 
-// addEdge inserts u → v (u, v are node ids). Edges always point
-// forward in trace order; violations indicate a malformed trace and
-// are dropped.
-func (g *Graph) addEdge(u, v int32) bool {
-	if u < 0 || v < 0 || u == v {
-		return false
-	}
-	if g.nodes[u].seq >= g.nodes[v].seq {
-		return false
-	}
+// forward reports whether u → v (u, v are node ids, -1 = none) may be
+// an edge. Edges always point forward in trace order; violations
+// indicate a malformed trace and are dropped.
+func (g *Graph) forward(u, v int32) bool {
+	return u >= 0 && v >= 0 && u != v && g.nodes[u].seq < g.nodes[v].seq
+}
+
+// addEdge inserts the forward edge u → v into both adjacency lists.
+func (g *Graph) addEdge(u, v int32) {
 	g.adj[u] = append(g.adj[u], v)
-	g.pending = append(g.pending, edge{u, v})
-	return true
+	g.radj[v] = append(g.radj[v], u)
 }
 
-// closure computes the transitive-closure matrix in full. Nodes are
-// already in topological (trace) order, so one reverse sweep suffices.
-func (g *Graph) closure() {
-	g.reach.clear()
-	for i := len(g.nodes) - 1; i >= 0; i-- {
-		g.reach.set(i, i)
-		for _, w := range g.adj[i] {
-			g.reach.orInto(i, int(w))
+// reverse returns the reverse adjacency, building it from adj on the
+// first call. Later edges must be added through addEdge.
+func (g *Graph) reverse() [][]int32 {
+	g.radjOnce.Do(func() {
+		// One backing array, each list sized to its in-degree.
+		deg := make([]int32, len(g.adj))
+		m := 0
+		for _, ws := range g.adj {
+			for _, w := range ws {
+				deg[w]++
+			}
+			m += len(ws)
 		}
-	}
-}
-
-// incrementalClosure folds the pending edges into the closure matrix
-// without recomputing it. For a new edge u → v only u and nodes that
-// reach u can gain reachability, so one reverse sweep from the highest
-// pending source suffices: a row is re-ORed only when it has a pending
-// edge or a successor whose row just changed. Node ids ascend in trace
-// (= topological) order, so successors are always finalized first, and
-// because closure is monotone in the edge set the result is
-// bit-identical to a full recompute.
-func (g *Graph) incrementalClosure() {
-	if len(g.pending) == 0 {
-		return
-	}
-	hWorklistLen.Observe(int64(len(g.pending)))
-	// Bucket the pending edges by descending source so the reverse
-	// sweep consumes them in order — no per-node lookup structure.
-	slices.SortFunc(g.pending, func(a, b edge) int { return int(b.u) - int(a.u) })
-	maxSrc := int(g.pending[0].u)
-	if cap(g.changed) < maxSrc+1 {
-		g.changed = make([]bool, maxSrc+1)
-	}
-	changed := g.changed[:maxSrc+1]
-	clear(changed)
-	k := 0
-	for i := maxSrc; i >= 0; i-- {
-		ch := false
-		for ; k < len(g.pending) && int(g.pending[k].u) == i; k++ {
-			if g.reach.orIntoChanged(i, int(g.pending[k].v)) {
-				ch = true
+		back := make([]int32, 0, m)
+		g.radj = make([][]int32, len(g.adj))
+		for w, d := range deg {
+			g.radj[w] = back[:0:d]
+			back = back[d:d]
+		}
+		for u, ws := range g.adj {
+			for _, w := range ws {
+				g.radj[w] = append(g.radj[w], int32(u))
 			}
 		}
-		for _, w := range g.adj[i] {
-			if int(w) <= maxSrc && changed[w] && g.reach.orIntoChanged(i, int(w)) {
-				ch = true
-			}
-		}
-		changed[i] = ch
-	}
-	g.pending = g.pending[:0]
+	})
+	return g.radj
 }
 
-// reachable reports node-level reachability (reflexive). It is the
-// one place that chooses how to answer: a bit probe of the dense
-// closure when the graph has one, otherwise a search from u bounded by
-// trace order. Edges only point forward and node ids ascend in trace
-// order, so a path from u to v visits only ids in [u, v].
-func (g *Graph) reachable(u, v int32) bool {
-	if g.reach != nil {
-		return g.reach.get(int(u), int(v))
-	}
+// reachable reports node-level reachability (reflexive) with a search
+// from u bounded by trace order: edges only point forward and node ids
+// ascend in trace order, so a path from u to v visits only ids in
+// [u, v].
+func (g *Graph) reachable(s *search, u, v int32) bool {
 	if u > v {
 		return false
 	}
-	s := searchPool.Get().(*search)
-	found := s.run(g.adj, u, v, v)
-	cConvQueries.Inc()
-	cConvSearchNodes.Add(s.visited)
-	searchPool.Put(s)
-	return found
+	return s.run(g.adj, u, u, v, v)
 }
 
-// search is the scratch state of one on-demand reachability search.
-// It comes from searchPool, never from the Graph, so concurrent
-// readers of one graph stay safe.
+// search is the scratch state of on-demand searches. Its bitmap spans
+// every node id but is cleared through the list of nodes the last run
+// marked, so a run costs what it visits. Query methods take one from
+// searchPool, never from the Graph, so concurrent readers of one graph
+// stay safe. It tallies its runs until flush publishes them.
 type search struct {
-	lo      int32
-	seen    []uint64 // bit k marks node lo+k
-	stack   []int32
-	visited int64 // nodes marked by the last run
+	seen   []uint64 // bit w marks node w
+	marked []int32  // nodes marked since the last reset
+	stack  []int32
+	prev   []int32 // Explain's BFS parent of each marked node
+
+	runs, nodes int64 // tallies not yet published
 }
 
 var searchPool = sync.Pool{New: func() any { return new(search) }}
 
-// run marks every node reachable from u through nodes with id <= hi
-// and reports whether stop was marked, returning as soon as it is
-// (stop < 0 marks the whole bounded reachable set).
-func (s *search) run(adj [][]int32, u, hi, stop int32) bool {
-	words := int(hi-u)/64 + 1
-	if cap(s.seen) < words {
+func getSearch() *search { return searchPool.Get().(*search) }
+
+// release publishes s's tallies and returns it to the pool.
+func (s *search) release() {
+	s.flush()
+	searchPool.Put(s)
+}
+
+// flush publishes the tallied runs to obs.
+func (s *search) flush() {
+	if s.runs != 0 {
+		cSearches.Add(s.runs)
+		cSearchNodes.Add(s.nodes)
+		s.runs, s.nodes = 0, 0
+	}
+}
+
+// reset unmarks every node and sizes the bitmap for n nodes.
+func (s *search) reset(n int) {
+	if words := (n + 63) / 64; len(s.seen) < words {
 		s.seen = make([]uint64, words)
 	} else {
-		s.seen = s.seen[:words]
-		clear(s.seen)
+		for _, w := range s.marked {
+			s.seen[w/64] = 0
+		}
 	}
-	s.lo = u
+	s.marked = s.marked[:0]
+}
+
+// run resets s and marks every node reachable from u over adj through
+// nodes with ids in [lo, hi], reporting whether stop was marked and
+// returning as soon as it is (stop < 0 marks the whole bounded set).
+func (s *search) run(adj [][]int32, u, lo, hi, stop int32) bool {
+	s.reset(len(adj))
+	return s.walk(adj, u, lo, hi, stop)
+}
+
+// walk is run without the reset: it adds u's bounded reach to the
+// marks already made.
+func (s *search) walk(adj [][]int32, u, lo, hi, stop int32) bool {
+	s.runs++
+	if s.has(u) {
+		return u == stop
+	}
 	s.mark(u)
-	s.visited = 1
 	if u == stop {
 		return true
 	}
@@ -365,11 +354,10 @@ func (s *search) run(adj [][]int32, u, hi, stop int32) bool {
 		x := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
 		for _, w := range adj[x] {
-			if w > hi || s.has(w) {
+			if w < lo || w > hi || s.has(w) {
 				continue
 			}
 			s.mark(w)
-			s.visited++
 			if w == stop {
 				return true
 			}
@@ -380,79 +368,144 @@ func (s *search) run(adj [][]int32, u, hi, stop int32) bool {
 }
 
 func (s *search) mark(w int32) {
-	k := w - s.lo
-	s.seen[k/64] |= 1 << (uint(k) % 64)
+	s.seen[w/64] |= 1 << (uint(w) % 64)
+	s.marked = append(s.marked, w)
+	s.nodes++
 }
 
 func (s *search) has(w int32) bool {
-	k := w - s.lo
-	return s.seen[k/64]&(1<<(uint(k)%64)) != 0
+	return s.seen[w/64]&(1<<(uint(w)%64)) != 0
 }
 
-// applyDerivedRules applies the atomicity rule and the four event
-// queue rules, returning whether any new edge was added. The pair
-// loops are quadratic in events-per-looper and sends-per-queue, so
-// the begin/end node ids are resolved into flat arrays up front —
-// each pair test is then one or two bit probes.
-func (g *Graph) applyDerivedRules() bool {
-	added := false
-	// Atomicity rule: events of one looper, in execution order.
+// looperRule is one looper's events in begin order, as node ids (-1 =
+// the event has no such node), for the atomicity rule.
+type looperRule struct {
+	begins, ends []int32
+	last         int32 // highest end node of the looper's events
+}
+
+// queueRule is one queue's sends in trace order with their events'
+// node ids (-1 = none), for the event queue rules.
+type queueRule struct {
+	sends        []sendInfo
+	begins, ends []int32
+}
+
+// slot locates a node in the rule tables: the looper (or queue) index
+// and the event (or send) index within it; group < 0 means none.
+type slot struct{ group, index int32 }
+
+// rulePass is the state of the derived-rule fixpoint over one graph.
+type rulePass struct {
+	g       *Graph
+	loopers []looperRule
+	queues  []queueRule
+	// endSlot[n] locates the event n ends; sendSlot[n] the send n is.
+	endSlot, sendSlot []slot
+
+	// s searches premises, t the reach of a conclusion's shared end
+	// node, u answers one-off tests, and dirty marks the sources to
+	// re-run (nil in round 0: all of them). All come from searchPool.
+	s, t, u, dirty *search
+	cand           []int32
+	pending        []edge // this round's new edges, flushed when it ends
+}
+
+func newRulePass(g *Graph) *rulePass {
+	r := &rulePass{g: g, s: getSearch(), t: getSearch(), u: getSearch()}
+	n := len(g.nodes)
+	slots := make([]slot, 2*n)
+	for k := range slots {
+		slots[k] = slot{-1, -1}
+	}
+	r.endSlot, r.sendSlot = slots[:n], slots[n:]
+	r.loopers = make([]looperRule, 0, len(g.looperEvents))
+	r.queues = make([]queueRule, 0, len(g.queueSends))
+	nodeOf := func(m map[trace.TaskID]int32, t trace.TaskID) int32 {
+		if id, ok := m[t]; ok {
+			return id
+		}
+		return -1
+	}
 	for _, evs := range g.looperEvents {
-		type be struct{ b, e int32 }
-		nodes := make([]be, len(evs))
+		l := looperRule{begins: make([]int32, len(evs)), ends: make([]int32, len(evs)), last: -1}
+		li := int32(len(r.loopers))
 		for i, ev := range evs {
-			nodes[i] = be{b: -1, e: -1}
-			if b, ok := g.begins[ev]; ok {
-				nodes[i].b = b
-			}
-			if e, ok := g.ends[ev]; ok {
-				nodes[i].e = e
+			l.begins[i] = nodeOf(g.begins, ev)
+			l.ends[i] = nodeOf(g.ends, ev)
+			if e := l.ends[i]; e >= 0 {
+				r.endSlot[e] = slot{li, int32(i)}
+				l.last = max(l.last, e)
 			}
 		}
-		for i := 0; i < len(nodes); i++ {
-			bi, ei := nodes[i].b, nodes[i].e
-			if bi < 0 || ei < 0 {
+		r.loopers = append(r.loopers, l)
+	}
+	for _, sends := range g.queueSends {
+		q := queueRule{sends: sends, begins: make([]int32, len(sends)), ends: make([]int32, len(sends))}
+		qi := int32(len(r.queues))
+		for i, si := range sends {
+			q.begins[i] = nodeOf(g.begins, si.event)
+			q.ends[i] = nodeOf(g.ends, si.event)
+			r.sendSlot[si.node] = slot{qi, int32(i)}
+		}
+		r.queues = append(r.queues, q)
+	}
+	return r
+}
+
+// round applies the atomicity rule and the four event queue rules once
+// and reports whether any new edge was added.
+func (r *rulePass) round() bool {
+	g := r.g
+	// Atomicity rule: begin(e_i) ≺ end(e_j) for events of one looper,
+	// i before j, gives end(e_i) ≺ begin(e_j).
+	for li := range r.loopers {
+		l := &r.loopers[li]
+		for i := range l.begins {
+			bi, ei := l.begins[i], l.ends[i]
+			if bi < 0 || ei < 0 || !r.rerun(bi) {
 				continue
 			}
-			reachRow := g.reach.row(int(bi))
-			for j := i + 1; j < len(nodes); j++ {
-				ej, bj := nodes[j].e, nodes[j].b
-				if ej < 0 || bj < 0 {
-					continue
-				}
-				if reachRow[ej/64]&(1<<(uint(ej)%64)) != 0 && !g.reachable(ei, bj) {
-					if g.addEdge(ei, bj) {
-						g.ruleEdges++
-						added = true
-					}
-				}
+			r.s.run(g.adj, bi, bi, l.last, -1)
+			js := r.reached(r.endSlot, int32(li), int32(i))
+			if len(js) == 0 {
+				continue
+			}
+			hi := int32(-1)
+			for _, j := range js {
+				hi = max(hi, l.begins[j])
+			}
+			r.from(ei, hi)
+			for _, j := range js {
+				r.orderFrom(ei, l.begins[j])
 			}
 		}
 	}
-	// Event queue rules over ordered sends to the same queue. The
-	// begin/end node ids of each send's event are resolved once per
-	// queue; the pair loop runs every round and must stay map-free.
-	for _, sends := range g.queueSends {
-		begins := make([]int32, len(sends))
-		ends := make([]int32, len(sends))
-		for i, si := range sends {
-			begins[i], ends[i] = -1, -1
-			if b, ok := g.begins[si.event]; ok {
-				begins[i] = b
+	// Event queue rules over ordered sends to the same queue.
+	for qi := range r.queues {
+		q := &r.queues[qi]
+		last := q.sends[len(q.sends)-1].node
+		for ai, a := range q.sends {
+			if !r.rerun(a.node) {
+				continue
 			}
-			if e, ok := g.ends[si.event]; ok {
-				ends[i] = e
+			r.s.run(g.adj, a.node, a.node, last, -1)
+			bis := r.reached(r.sendSlot, int32(qi), int32(ai))
+			if len(bis) == 0 {
+				continue
 			}
-		}
-		for ai := 0; ai < len(sends); ai++ {
-			a := sends[ai]
-			reachRow := g.reach.row(int(a.node))
-			for bi := ai + 1; bi < len(sends); bi++ {
-				b := sends[bi]
-				if a.event == b.event {
-					continue
+			// Rules 1 and 3 conclude end(a) ≺ begin(b): one search
+			// from end(a) answers them all.
+			hi := int32(-1)
+			for _, bi := range bis {
+				if !q.sends[bi].front {
+					hi = max(hi, q.begins[bi])
 				}
-				if reachRow[b.node/64]&(1<<(uint(b.node)%64)) == 0 {
+			}
+			r.from(q.ends[ai], hi)
+			for _, bi := range bis {
+				b := q.sends[bi]
+				if a.event == b.event {
 					continue
 				}
 				// a's send happens-before b's send.
@@ -460,40 +513,102 @@ func (g *Graph) applyDerivedRules() bool {
 				case !a.front && !b.front:
 					// Rule 1: delays must satisfy d1 <= d2.
 					if a.delay <= b.delay {
-						g.orderNodes(ends[ai], begins[bi], &added)
+						r.orderFrom(q.ends[ai], q.begins[bi])
 					}
 				case a.front && !b.front:
 					// Rule 3: sendAtFront(e1) ≺ send(e2) ⇒ e1 ≺ e2.
-					g.orderNodes(ends[ai], begins[bi], &added)
-				case !a.front && b.front:
-					// Rule 2: additionally needs sendAtFront(e2) ≺ begin(e1).
-					if be := begins[ai]; be >= 0 && g.reachable(b.node, be) {
-						g.orderNodes(ends[bi], begins[ai], &added)
-					}
-				case a.front && b.front:
-					// Rule 4: same condition as rule 2.
-					if be := begins[ai]; be >= 0 && g.reachable(b.node, be) {
-						g.orderNodes(ends[bi], begins[ai], &added)
+					r.orderFrom(q.ends[ai], q.begins[bi])
+				default:
+					// Rules 2 and 4 (b is a sendAtFront): additionally
+					// need sendAtFront(e2) ≺ begin(e1).
+					if be := q.begins[ai]; be >= 0 && g.reachable(r.u, b.node, be) {
+						r.order(q.ends[bi], be)
 					}
 				}
 			}
 		}
 	}
-	return added
+	return r.flush()
 }
 
-// orderNodes adds end(e1) → begin(e2) by pre-resolved node ids (-1 =
-// the task has no such node) unless already derivable.
-func (g *Graph) orderNodes(en, b int32, added *bool) {
-	if en < 0 || b < 0 {
-		return
+// rerun reports whether the source must be searched this round: every
+// source in round 0, afterwards only those that reach a new edge.
+func (r *rulePass) rerun(src int32) bool {
+	return r.dirty == nil || r.dirty.has(src)
+}
+
+// reached returns, ascending, the inner indexes above i of the nodes
+// the last premise search marked that sit in group grp of tab.
+func (r *rulePass) reached(tab []slot, grp, i int32) []int32 {
+	r.cand = r.cand[:0]
+	for _, w := range r.s.marked {
+		if sl := tab[w]; sl.group == grp && sl.index > i {
+			r.cand = append(r.cand, sl.index)
+		}
 	}
-	if g.reachable(en, b) {
-		return
+	slices.Sort(r.cand)
+	return r.cand
+}
+
+// from searches the reach of en (-1 = none) up to node hi, for
+// orderFrom.
+func (r *rulePass) from(en, hi int32) {
+	if en >= 0 && hi > en {
+		r.t.run(r.g.adj, en, en, hi, -1)
 	}
-	if g.addEdge(en, b) {
-		g.ruleEdges++
-		*added = true
+}
+
+// orderFrom derives en → b (node ids, -1 = none) unless it is backward
+// or already holds at the start of the round. The last from(en, hi)
+// call must have covered b (b <= hi).
+func (r *rulePass) orderFrom(en, b int32) {
+	if r.g.forward(en, b) && !r.t.has(b) {
+		r.derive(en, b)
+	}
+}
+
+// order is orderFrom with a search of its own.
+func (r *rulePass) order(en, b int32) {
+	if r.g.forward(en, b) && !r.g.reachable(r.u, en, b) {
+		r.derive(en, b)
+	}
+}
+
+// derive holds the new rule edge en → b until the round ends.
+func (r *rulePass) derive(en, b int32) {
+	r.pending = append(r.pending, edge{en, b})
+	r.g.ruleEdges++
+}
+
+// flush appends the round's pending edges to the graph, marks the
+// sources the next round must re-run, and reports whether there were
+// any.
+func (r *rulePass) flush() bool {
+	if len(r.pending) == 0 {
+		return false
+	}
+	g := r.g
+	for _, e := range r.pending {
+		g.addEdge(e.u, e.v)
+	}
+	if r.dirty == nil {
+		r.dirty = getSearch()
+	}
+	r.dirty.reset(len(g.nodes))
+	for _, e := range r.pending {
+		r.dirty.walk(g.radj, e.u, 0, e.u, -1)
+	}
+	r.pending = r.pending[:0]
+	return true
+}
+
+// release publishes the pass's search tallies and returns its
+// searches to the pool.
+func (r *rulePass) release() {
+	for _, s := range []*search{r.s, r.t, r.u, r.dirty} {
+		if s != nil {
+			s.release()
+		}
 	}
 }
 

@@ -30,15 +30,23 @@ func (b *tb) add(e trace.Entry) int {
 	return b.tr.Append(e)
 }
 
+// build validates the trace, builds the graph and checks it against
+// the dense reference (assertExact), so every rule fixture is also an
+// exactness test.
 func (b *tb) build(t *testing.T, opts Options) *Graph {
 	t.Helper()
 	if err := b.tr.Validate(); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
-	g, err := Build(b.tr, opts)
+	ps, err := Scan(b.tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := BuildFromScan(ps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertExact(t, ps, g)
 	return g
 }
 
@@ -495,12 +503,6 @@ func TestStats(t *testing.T) {
 	}
 	if g.Trace() != b.tr {
 		t.Error("Trace() identity")
-	}
-	if got := g.ClosureBytes(); got != 2*8 {
-		t.Errorf("ClosureBytes() = %d, want one word per node", got)
-	}
-	if conv := b.build(t, Options{Conventional: true}); conv.ClosureBytes() != 0 {
-		t.Errorf("conventional ClosureBytes() = %d, want 0", conv.ClosureBytes())
 	}
 }
 

@@ -11,66 +11,11 @@ import (
 	"cafa/internal/trace"
 )
 
-// fullRecompute recomputes g's closure from scratch over its final
-// edge set — the seed algorithm the incremental closure replaced.
-func fullRecompute(g *Graph) *bitmat {
-	m := newBitmat(len(g.nodes))
-	for i := len(g.nodes) - 1; i >= 0; i-- {
-		m.set(i, i)
-		for _, w := range g.adj[i] {
-			m.orInto(i, int(w))
-		}
-	}
-	return m
-}
-
-func assertClosureExact(t *testing.T, g *Graph) {
-	t.Helper()
-	want := fullRecompute(g)
-	if len(want.bits) != len(g.reach.bits) {
-		t.Fatalf("closure matrix size mismatch: %d vs %d words", len(g.reach.bits), len(want.bits))
-	}
-	for i := range want.bits {
-		if want.bits[i] != g.reach.bits[i] {
-			t.Fatalf("incremental closure diverges from full recompute at word %d (node %d)",
-				i, i/want.words)
-		}
-	}
-}
-
-// assertConvExact checks the on-demand conventional model g against
-// the dense reference buildFull computes over the same Prescan: equal
-// stats (so the fixpoint adds no rule edges), and one bounded search
-// per source marking exactly that source's dense closure row.
-func assertConvExact(t *testing.T, ps *Prescan, g *Graph) {
-	t.Helper()
-	if g.reach != nil {
-		t.Fatal("conventional model built a dense closure")
-	}
-	full, err := buildFull(ps, Options{Conventional: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Stats() != full.Stats() {
-		t.Fatalf("on-demand stats %+v != dense reference stats %+v", g.Stats(), full.Stats())
-	}
-	var s search
-	n := int32(len(g.nodes))
-	for u := int32(0); u < n; u++ {
-		s.run(g.adj, u, n-1, -1)
-		for v := int32(0); v < n; v++ {
-			if got, want := v >= u && s.has(v), full.reach.get(int(u), int(v)); got != want {
-				t.Fatalf("node %d -> %d: on-demand %v, dense closure %v", u, v, got, want)
-			}
-		}
-	}
-}
-
 // TestIncrementalClosureMatchesFullRecompute drives multi-round
 // fixpoints (queue-rule chains across loopers force several rounds)
-// and asserts the incremental closure is bit-identical to a from-
-// scratch recompute over the final edge set, and the on-demand
-// conventional model exact against its dense reference.
+// and asserts the semi-naive fixpoint and the conventional model are
+// exact against the dense reference, which recomputes a full closure
+// every round.
 func TestIncrementalClosureMatchesFullRecompute(t *testing.T) {
 	// Chained loopers: a driver sends k events to looper A (rule 1
 	// orders them in round 1); each A event sends one event to looper
@@ -114,21 +59,16 @@ func TestIncrementalClosureMatchesFullRecompute(t *testing.T) {
 			b.add(trace.Entry{Task: ev, Op: trace.OpEnd})
 		}
 	}
+	// b.build checks each model against the dense reference.
 	g := b.build(t, Options{})
 	if g.rounds < 3 {
 		t.Fatalf("chain trace should need several fixpoint rounds, got %d", g.rounds)
 	}
-	assertClosureExact(t, g)
-
-	ps, err := Scan(b.tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertConvExact(t, ps, b.build(t, Options{Conventional: true}))
+	b.build(t, Options{Conventional: true})
 }
 
-// TestIncrementalClosureOnAppTraces checks the same invariant on the
-// realistic app-model traces.
+// TestIncrementalClosureOnAppTraces checks the same invariant, and
+// CommonAncestor, on the realistic app-model traces.
 func TestIncrementalClosureOnAppTraces(t *testing.T) {
 	for _, name := range []string{"MyTracks", "Browser"} {
 		spec, ok := apps.ByName(name)
@@ -147,16 +87,14 @@ func TestIncrementalClosureOnAppTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := BuildFromScan(ps, Options{})
-		if err != nil {
-			t.Fatal(err)
+		for _, opts := range []Options{{}, {Conventional: true}} {
+			g, err := BuildFromScan(ps, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertExact(t, ps, g)
+			assertAncestorsExact(t, ps, g, 2000)
 		}
-		assertClosureExact(t, g)
-		conv, err := BuildFromScan(ps, Options{Conventional: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertConvExact(t, ps, conv)
 	}
 }
 
@@ -188,35 +126,46 @@ func TestBuildFromScanSharedPrescan(t *testing.T) {
 		if shared.Stats() != solo.Stats() {
 			t.Fatalf("opts %+v: shared-prescan stats %+v != solo stats %+v", opts, shared.Stats(), solo.Stats())
 		}
-		if opts.Conventional {
-			// No closure: both answer by searching their adjacency.
-			for u := range solo.adj {
-				if !slices.Equal(shared.adj[u], solo.adj[u]) {
-					t.Fatalf("shared-prescan adjacency of node %d differs from solo build", u)
-				}
+		// Both answer by searching their adjacency.
+		for u := range solo.adj {
+			if !slices.Equal(shared.adj[u], solo.adj[u]) {
+				t.Fatalf("opts %+v: shared-prescan adjacency of node %d differs from solo build", opts, u)
 			}
-			continue
-		}
-		if !slices.Equal(shared.reach.bits, solo.reach.bits) {
-			t.Fatal("shared-prescan closure differs from solo build")
 		}
 	}
 }
 
 // TestConventionalConcurrentQueries checks that concurrent readers of
-// one on-demand conventional graph get the serial answers: search
-// scratch state is per call, never shared through the Graph.
+// one conventional graph get the serial answers: search scratch state
+// is per call, never shared through the Graph.
 func TestConventionalConcurrentQueries(t *testing.T) {
+	assertConcurrentQueries(t, Options{Conventional: true})
+}
+
+// TestEventDrivenConcurrentQueries is the same check for the
+// event-driven model, whose rule pass also runs searches.
+func TestEventDrivenConcurrentQueries(t *testing.T) {
+	assertConcurrentQueries(t, Options{})
+}
+
+// assertConcurrentQueries runs Ordered (through the Graph and through
+// a Querier), CommonAncestor and Explain from four goroutines at once
+// and compares each answer with the serial one.
+func assertConcurrentQueries(t *testing.T, opts Options) {
 	tr := synth.Trace(synth.Config{Chain: 3, EventsPer: 6, FreeThreads: 3, Burst: 2, BurstEvents: 8})
-	conv, err := Build(tr, Options{Conventional: true})
+	g, err := Build(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(tr.Entries)
-	want := make([]bool, n*n)
+	ordered := make([]bool, n*n)
+	ancestor := make([]int, n*n)
+	paths := make([]int, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			want[i*n+j] = conv.Ordered(i, j)
+			ordered[i*n+j] = g.Ordered(i, j)
+			ancestor[i*n+j] = g.CommonAncestor(i, j)
+			paths[i*n+j] = len(g.Explain(i, j))
 		}
 	}
 	var wg sync.WaitGroup
@@ -224,10 +173,22 @@ func TestConventionalConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			q := g.Querier()
+			defer q.Close()
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
-					if conv.Ordered(i, j) != want[i*n+j] {
+					k := i*n + j
+					ti, tj := tr.Entries[i].Task, tr.Entries[j].Task
+					if g.Ordered(i, j) != ordered[k] || q.OrderedAt(i, ti, j, tj) != ordered[k] {
 						t.Errorf("concurrent Ordered(%d, %d) differs from serial answer", i, j)
+						return
+					}
+					if q.ConcurrentAt(i, ti, j, tj) != g.Concurrent(i, j) {
+						t.Errorf("Querier.ConcurrentAt(%d, %d) differs from Graph.Concurrent", i, j)
+						return
+					}
+					if w%2 == 0 && (g.CommonAncestor(i, j) != ancestor[k] || len(g.Explain(i, j)) != paths[k]) {
+						t.Errorf("concurrent CommonAncestor/Explain(%d, %d) differ from serial answers", i, j)
 						return
 					}
 				}
@@ -235,4 +196,22 @@ func TestConventionalConcurrentQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFixpointManyRounds builds a chain deeper than any fixed round
+// cap: each of its 80 loopers' queue order becomes derivable only
+// after the previous looper's round lands.
+func TestFixpointManyRounds(t *testing.T) {
+	ps, err := Scan(synth.Trace(synth.Config{Chain: 80, EventsPer: 2, FreeThreads: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildFromScan(ps, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.rounds <= 64 {
+		t.Fatalf("chain of 80 loopers converged in %d rounds; want more than 64", g.rounds)
+	}
+	assertExact(t, ps, g)
 }

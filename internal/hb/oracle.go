@@ -39,6 +39,12 @@ func (g *Graph) Ordered(i, j int) bool {
 // — the form streaming analyses use, since a streamed trace has no
 // materialized Entries to look tasks up in.
 func (g *Graph) OrderedAt(i int, ti trace.TaskID, j int, tj trace.TaskID) bool {
+	s := getSearch()
+	defer s.release()
+	return g.orderedAt(s, i, ti, j, tj)
+}
+
+func (g *Graph) orderedAt(s *search, i int, ti trace.TaskID, j int, tj trace.TaskID) bool {
 	if i == j {
 		return false
 	}
@@ -54,7 +60,7 @@ func (g *Graph) OrderedAt(i int, ti trace.TaskID, j int, tj trace.TaskID) bool {
 	if u < 0 || v < 0 {
 		return false
 	}
-	return g.reachable(u, v)
+	return g.reachable(s, u, v)
 }
 
 // Concurrent reports whether two entries are unordered in both
@@ -66,10 +72,16 @@ func (g *Graph) Concurrent(i, j int) bool {
 // ConcurrentAt is Concurrent with caller-supplied tasks (see
 // OrderedAt).
 func (g *Graph) ConcurrentAt(i int, ti trace.TaskID, j int, tj trace.TaskID) bool {
+	s := getSearch()
+	defer s.release()
+	return g.concurrentAt(s, i, ti, j, tj)
+}
+
+func (g *Graph) concurrentAt(s *search, i int, ti trace.TaskID, j int, tj trace.TaskID) bool {
 	if i == j || ti == tj {
 		return false
 	}
-	return !g.OrderedAt(i, ti, j, tj) && !g.OrderedAt(j, tj, i, ti)
+	return !g.orderedAt(s, i, ti, j, tj) && !g.orderedAt(s, j, tj, i, ti)
 }
 
 // TaskOrdered reports end(t1) ≺ begin(t2): the whole of task t1
@@ -80,7 +92,9 @@ func (g *Graph) TaskOrdered(t1, t2 trace.TaskID) bool {
 	if !ok1 || !ok2 {
 		return false
 	}
-	return g.reachable(en, b)
+	s := getSearch()
+	defer s.release()
+	return g.reachable(s, en, b)
 }
 
 // TasksConcurrent reports that neither task is wholly ordered before
@@ -90,6 +104,36 @@ func (g *Graph) TasksConcurrent(t1, t2 trace.TaskID) bool {
 		return false
 	}
 	return !g.TaskOrdered(t1, t2) && !g.TaskOrdered(t2, t1)
+}
+
+// Querier answers ordering queries over one graph for one goroutine.
+// It keeps one search scratch for all its queries and tallies their
+// searches locally; Close publishes the tallies to obs once. Loops
+// that issue a query per candidate (the detector) use one instead of
+// the Graph methods, which publish per call.
+type Querier struct {
+	g *Graph
+	s *search
+}
+
+// Querier returns a Querier over g. Close it when done.
+func (g *Graph) Querier() *Querier { return &Querier{g: g, s: getSearch()} }
+
+// OrderedAt is Graph.OrderedAt.
+func (q *Querier) OrderedAt(i int, ti trace.TaskID, j int, tj trace.TaskID) bool {
+	return q.g.orderedAt(q.s, i, ti, j, tj)
+}
+
+// ConcurrentAt is Graph.ConcurrentAt.
+func (q *Querier) ConcurrentAt(i int, ti trace.TaskID, j int, tj trace.TaskID) bool {
+	return q.g.concurrentAt(q.s, i, ti, j, tj)
+}
+
+// Close publishes the Querier's search tallies and releases its
+// scratch. The Querier must not be used afterwards.
+func (q *Querier) Close() {
+	q.s.release()
+	q.s = nil
 }
 
 // Trace returns the underlying trace.

@@ -84,8 +84,8 @@ type Config struct {
 	ReplayScale int
 	// Stream analyzes uploads while the request body arrives: the
 	// decoder, validator, and per-event analysis passes advance
-	// together during the upload, and the worker only finalizes (graph
-	// closure + detection). The cache is still keyed on the SHA-256 of
+	// together during the upload, and the worker only finalizes (hb
+	// graph + detection). The cache is still keyed on the SHA-256 of
 	// the complete body, so a re-submitted trace is recognized once
 	// the upload finishes and served from cache. Artifacts are
 	// byte-identical to the buffered path.
@@ -281,15 +281,6 @@ func (s *Server) worker() {
 	}
 }
 
-// collectAfterClosure is the happens-before closure size from which a
-// finished job's garbage is collected at once. Left to the pacer,
-// whose goal was set by a mark taken mid-job, the next job's closure
-// piles on this job's and peak RSS compounds across jobs. Below the
-// pacer's 4 MiB minimum heap goal its ordinary cycles keep up, and a
-// forced cycle would only shrink the goal and make the next uploads
-// fault their pages back in.
-const collectAfterClosure = 4 << 20
-
 // runJob executes one job with panic isolation and the per-job
 // timeout. The analysis runs in a child goroutine; on timeout the job
 // fails and the stray computation is abandoned (its result, sent to a
@@ -300,9 +291,8 @@ func (s *Server) runJob(j *job) {
 		s.testHookRunning(j)
 	}
 	type outcome struct {
-		art     *artifacts
-		closure int64 // bytes of the job's happens-before closure
-		err     error
+		art *artifacts
+		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
@@ -311,8 +301,8 @@ func (s *Server) runJob(j *job) {
 				done <- outcome{err: fmt.Errorf("analysis panicked: %v", p)}
 			}
 		}()
-		art, closure, err := s.analyze(j)
-		done <- outcome{art: art, closure: closure, err: err}
+		art, err := s.analyze(j)
+		done <- outcome{art: art, err: err}
 	}()
 	timer := time.NewTimer(s.cfg.JobTimeout)
 	defer timer.Stop()
@@ -332,9 +322,6 @@ func (s *Server) runJob(j *job) {
 			j.progress = ""
 		})
 		cJobsCompleted.Inc()
-		if o.closure >= collectAfterClosure {
-			runtime.GC()
-		}
 	case <-timer.C:
 		s.failJob(j, fmt.Errorf("job exceeded the %v timeout and was abandoned", s.cfg.JobTimeout))
 	}
@@ -353,10 +340,9 @@ func (s *Server) failJob(j *job, err error) {
 }
 
 // analyze runs the pipeline on the job's trace and renders all served
-// artifacts, also returning the size of the job's happens-before
-// closure. The root obs span carries the job id; the pipeline's pass
+// artifacts. The root obs span carries the job id; the pipeline's pass
 // spans nest under it.
-func (s *Server) analyze(j *job) (*artifacts, int64, error) {
+func (s *Server) analyze(j *job) (*artifacts, error) {
 	sp := obs.Start("serve.job", obs.String("job", j.id), obs.String("name", j.name))
 	defer sp.End()
 	if s.testHookAnalyze != nil {
@@ -367,13 +353,13 @@ func (s *Server) analyze(j *job) (*artifacts, int64, error) {
 	var err error
 	if j.stream != nil {
 		// Streamed upload: the per-event passes already ran while the
-		// body arrived; only the closure and detection remain.
+		// body arrived; only the hb graph and detection remain.
 		res, err = j.stream.FinishSpanned(sp)
 	} else {
 		res, err = s.pipeline.AnalyzeSpanned(j.tr, sp)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	s.stage(j, "render")
 	tr := res.Trace
@@ -381,18 +367,18 @@ func (s *Server) analyze(j *job) (*artifacts, int64, error) {
 	art := &artifacts{Stats: res.Stats}
 	var buf bytes.Buffer
 	if err := report.RenderJSON(&buf, []*report.FileReport{rep}); err != nil {
-		return nil, 0, fmt.Errorf("render report: %w", err)
+		return nil, fmt.Errorf("render report: %w", err)
 	}
 	art.Report = append([]byte(nil), buf.Bytes()...)
 	bundle := report.BuildBundle([]*report.FileReport{rep})
 	buf.Reset()
 	if err := bundle.WriteJSON(&buf); err != nil {
-		return nil, 0, fmt.Errorf("render evidence: %w", err)
+		return nil, fmt.Errorf("render evidence: %w", err)
 	}
 	art.Evidence = append([]byte(nil), buf.Bytes()...)
 	buf.Reset()
 	if err := provenance.WriteHTML(&buf, bundle); err != nil {
-		return nil, 0, fmt.Errorf("render triage: %w", err)
+		return nil, fmt.Errorf("render triage: %w", err)
 	}
 	art.Triage = append([]byte(nil), buf.Bytes()...)
 	for _, r := range res.Races {
@@ -402,7 +388,7 @@ func (s *Server) analyze(j *job) (*artifacts, int64, error) {
 		})
 	}
 	sp.SetAttr(obs.Int("races", len(art.Races)))
-	return art, res.Graph.ClosureBytes(), nil
+	return art, nil
 }
 
 // publishCacheGauges mirrors cache occupancy to obs.

@@ -27,7 +27,7 @@ var (
 type Config struct {
 	// Chain is the number of chained loopers. Events on looper i send
 	// events to looper i+1, so the hb fixpoint needs about Chain
-	// rounds — the incremental-closure stress axis.
+	// rounds — the multi-round fixpoint stress axis.
 	Chain int
 	// EventsPer is the events sent to each looper (the per-queue send
 	// fan-out; queue-rule work grows quadratically in it).
